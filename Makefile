@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check bench benchjson determinism verify-results figures metrics-smoke serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke
+.PHONY: build test vet lint race check bench benchjson determinism verify-results figures metrics-smoke serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke figures-smoke
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,7 @@ lint: vet
 race:
 	$(GO) test -race ./...
 
-check: build lint test race bench serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke determinism
+check: build lint test race bench serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke figures-smoke determinism
 
 # Benchmark smoke: every benchmark runs exactly one iteration. Catches
 # bench bodies that rot (they only compile under -bench) without paying
@@ -225,6 +225,45 @@ obs-smoke:
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf "$$log" "$$storedir"; \
 	[ $$fail -eq 0 ] || exit 1; \
 	echo "obs-smoke: logs, spans and health endpoints OK on $$addr"
+
+# Figures smoke: every table figure of cmd/figures (2a, 4a, 5, 6,
+# compare, sweep) at a tiny scale, once in-process and once with -submit
+# against a booted lbsim evaluation server (-serve plus -store), asserting
+# each run exits 0 and prints a table with at least one data row: the
+# ASCII table's rows below its dashed rule locally, the CSV artifact's
+# rows below its header remotely. The fast guard on the figure list and
+# both of its evaluation paths; verify-results is the slow one.
+figures-smoke:
+	@$(GO) build -o /tmp/figures-smoke ./cmd/figures && $(GO) build -o /tmp/lbsim-figures-smoke ./cmd/lbsim || exit 1; \
+	log=$$(mktemp); storedir=$$(mktemp -d); \
+	/tmp/lbsim-figures-smoke -app jacobi2d -cores 4 -scale 0.05 \
+		-serve 127.0.0.1:0 -store "$$storedir" -serve-wait 120s >/dev/null 2>"$$log" & \
+	pid=$$!; \
+	addr=""; \
+	for i in $$(seq 1 100); do \
+		addr=$$(sed -n 's|^telemetry: serving on http://\([^/]*\)/$$|\1|p' "$$log"); \
+		[ -n "$$addr" ] && break; \
+		kill -0 $$pid 2>/dev/null || { echo "figures-smoke: server exited early"; cat "$$log"; rm -rf "$$log" "$$storedir"; exit 1; }; \
+		sleep 0.1; \
+	done; \
+	[ -n "$$addr" ] || { echo "figures-smoke: no serving address in stderr"; cat "$$log"; kill $$pid; rm -rf "$$log" "$$storedir"; exit 1; }; \
+	fail=0; \
+	for mode in local submit; do \
+		submit=""; [ $$mode = submit ] && submit="-submit http://$$addr"; \
+		for f in 2a 4a 5 6 compare sweep; do \
+			out=$$(/tmp/figures-smoke -fig $$f -scale 0.05 -seeds 1 -cores 4,8 $$submit 2>/dev/null) || { \
+				echo "figures-smoke: -fig $$f ($$mode) exited non-zero"; fail=1; continue; }; \
+			if [ $$mode = local ]; then \
+				rows=$$(echo "$$out" | awk '/^-+( +-+)*$$/ {t=1; next} !NF {t=0} t {n++} END {print n+0}'); \
+			else \
+				rows=$$(( $$(echo "$$out" | grep -cE '^[^, ][^,]*(,[^, ][^,]*){2,}$$') - 1 )); \
+			fi; \
+			[ "$$rows" -ge 1 ] || { echo "figures-smoke: -fig $$f ($$mode) printed an empty table"; fail=1; }; \
+		done; \
+	done; \
+	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf "$$log" "$$storedir"; \
+	[ $$fail -eq 0 ] || exit 1; \
+	echo "figures-smoke: 6 table figures OK locally and via -submit on $$addr"
 
 # Regenerate the committed results/ tree (byte-identical at any -parallel).
 # Figures 5 (elasticity) and 6 (network interference) are the cloud

@@ -29,11 +29,11 @@ var benchSeeds = []int64{1}
 // benchmark on error (unreachable for sequential in-process dispatch).
 func benchEvaluate(b *testing.B, sp experiment.Spec) []experiment.Eval {
 	b.Helper()
-	evals, err := sp.Evaluate(context.Background(), experiment.Options{})
+	out, err := sp.Run(context.Background(), "evaluate", experiment.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return evals
+	return out.Rows.([]experiment.Eval)
 }
 
 // reportEval reports the headline quantities of the widest evaluation
@@ -184,14 +184,14 @@ func BenchmarkAblationRefineVsGreedy(b *testing.B) {
 func BenchmarkSweepRefineParams(b *testing.B) {
 	var points []experiment.SweepPoint
 	for i := 0; i < b.N; i++ {
-		var err error
-		points, err = experiment.Spec{
+		out, err := experiment.Spec{
 			App: experiment.Wave2D, Cores: []int{4}, Seeds: benchSeeds, Scale: benchScale,
 			EpsFracs: []float64{0.02, 0.1}, Periods: []int{10, 40},
-		}.SweepRefineParams(context.Background(), experiment.Options{})
+		}.Run(context.Background(), "sweep", experiment.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		points = out.Rows.([]experiment.SweepPoint)
 	}
 	for _, p := range points {
 		if p.EpsilonFrac == 0.02 && p.SyncEvery == 10 {

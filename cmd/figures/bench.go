@@ -149,7 +149,10 @@ func runBenchJSON(path string, workers int) error {
 	// parallel runner exists to raise.
 	var panelEvents uint64
 	pool := &runner.Pool{Workers: workers}
-	batch := experiment.EvaluateScenarios(experiment.Jacobi2D, []int{4}, []int64{1}, 0.15)
+	batch, err := experiment.Spec{App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1}, Scale: 0.15}.Batch("evaluate")
+	if err != nil {
+		return err
+	}
 	panel := entry("Fig2aPanelCell", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

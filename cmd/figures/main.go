@@ -78,6 +78,120 @@ func fig4Chart(kind experiment.AppKind, evals []experiment.Eval) plot.BarChart {
 	return c
 }
 
+// tableFigure is one table figure: a registered method run over a Spec,
+// printed locally as an ASCII table or fetched from a scenario service
+// as CSV.
+type tableFigure struct {
+	id     string   // -fig selector
+	title  []string // lines printed before the table
+	method string
+	spec   experiment.Spec
+	table  string // Output.Tables key and service artifact name
+	file   string // base name of the -csv (and -plots) files; "" writes none
+	// chart, when set, renders the -plots SVG from the evaluate rows.
+	chart func(experiment.AppKind, []experiment.Eval) plot.BarChart
+}
+
+// tableFigures lists every table figure in -fig order. Each Spec starts
+// from base, which carries the scale, network and scheduler flags.
+func tableFigures(base experiment.Spec, cores []int, seeds []int64) []tableFigure {
+	spec := func(sp experiment.Spec) experiment.Spec {
+		sp.Scale, sp.Net, sp.Shards = base.Scale, base.Net, base.Shards
+		return sp
+	}
+	var figs []tableFigure
+	for _, panel := range []struct {
+		fig, table, title string
+		chart             func(experiment.AppKind, []experiment.Eval) plot.BarChart
+	}{
+		{"2", "table.csv", "timing penalty vs cores", fig2Chart},
+		{"4", "energy.csv", "power and normalized energy overhead", fig4Chart},
+	} {
+		for i, kind := range []experiment.AppKind{experiment.Jacobi2D, experiment.Wave2D, experiment.Mol3D} {
+			figs = append(figs, tableFigure{
+				id:     panel.fig + string(rune('a'+i)),
+				title:  []string{fmt.Sprintf("Figure %s (%s): %s", panel.fig, kind, panel.title)},
+				method: "evaluate",
+				spec:   spec(experiment.Spec{App: kind, Cores: cores, Seeds: seeds}),
+				table:  panel.table,
+				file:   fmt.Sprintf("fig%s_%s", panel.fig, strings.ToLower(kind.String())),
+				chart:  panel.chart,
+			})
+		}
+	}
+
+	// Extension beyond the paper: cloud elasticity. One spot revocation
+	// with a short warning takes a core away mid-run and a replacement
+	// arrives later; each strategy's penalty is measured against its own
+	// fault-free baseline.
+	const elasticCores = 8
+	sched := experiment.Fig5Schedule(elasticCores, base.Scale)
+	r := sched[0]
+	figs = append(figs, tableFigure{
+		id: "5",
+		title: []string{
+			fmt.Sprintf("Figure 5: timing penalty of a spot revocation (Wave2D, %d cores)", elasticCores),
+			fmt.Sprintf("PE %d warned at t=%.3fs, core offline %.3f-%.3fs, replacement core %d",
+				r.PE, float64(r.At-r.Warning), float64(r.At), float64(r.Restore), r.ReplacementCore),
+		},
+		method: "elasticity",
+		spec: spec(experiment.Spec{
+			App: experiment.Wave2D, Cores: []int{elasticCores}, Seeds: seeds,
+			Strategies: []experiment.StrategyKind{experiment.NoLB, experiment.Refine, experiment.RefineSwap},
+			Faults:     sched,
+		}),
+		table: "table.csv",
+		file:  "fig5_wave2d",
+	})
+
+	// Extension beyond the paper: network interference, the cloud
+	// counterpart of Figure 2's CPU interference. The interfered Fig. 2
+	// workload runs a drop% x straggler sweep per strategy; penalties are
+	// against the same strategy's run on the reliable uniform network, so
+	// the added cost of the degraded network — including the balancer's
+	// own migration traffic crossing it — is isolated from the
+	// CPU-interference cost.
+	const netCores = 8
+	figs = append(figs, tableFigure{
+		id: "6",
+		title: []string{
+			fmt.Sprintf("Figure 6: timing penalty of network interference (Wave2D, %d cores, interfered)", netCores),
+			"drop % x straggler sweep; the straggler is the allocation's last node, its links get latency x factor and bandwidth / factor",
+		},
+		method: "net",
+		spec: spec(experiment.Spec{
+			App: experiment.Wave2D, Cores: []int{netCores}, Seeds: seeds,
+			Strategies:      []experiment.StrategyKind{experiment.NoLB, experiment.Refine},
+			DropPcts:        []float64{0, 2, 10},
+			StraggleFactors: []float64{1, 16},
+		}),
+		table: "table.csv",
+		file:  "fig6_wave2d",
+	})
+
+	figs = append(figs, tableFigure{
+		id:     "sweep",
+		title:  []string{"Sensitivity of RefineLB's design parameters (Wave2D, 8 cores):"},
+		method: "sweep",
+		spec: spec(experiment.Spec{
+			App: experiment.Wave2D, Cores: []int{8}, Seeds: []int64{1},
+			EpsFracs: []float64{0.01, 0.02, 0.05, 0.1}, Periods: []int{5, 10, 20, 40},
+		}),
+		table: "table.csv",
+	}, tableFigure{
+		id:     "compare",
+		title:  []string{"Strategy comparison (Wave2D, 8 cores, interfered):"},
+		method: "compare",
+		spec: spec(experiment.Spec{
+			App: experiment.Wave2D, Cores: []int{8}, Seeds: []int64{1},
+			Strategies: []experiment.StrategyKind{experiment.NoLB, experiment.Refine, experiment.RefineInternal,
+				experiment.RefineSwap, experiment.Greedy, experiment.Threshold, experiment.CostAware},
+		}),
+		table: "table.csv",
+	})
+	return figs
+}
+
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 1, 2a, 2b, 2c, 3, 4a, 4b, 4c, 5, 6, 7, sweep, compare, all (5-7, the cloud extensions, are opt-in)")
 	scale := flag.Float64("scale", 1.0, "iteration-count scale factor (smaller = faster)")
@@ -162,7 +276,7 @@ func main() {
 		log.Info("figures run starting", "trace_id", tr.ID(), "fig", *fig, "seeds", *seedN)
 	}
 	pool := &runner.Pool{Workers: *parallel, Metrics: prof.Registry(), Progress: prof.Tracker()}
-	opts := experiment.Options{Executor: pool.Executor(), Metrics: prof.Registry(), LBTimeline: prof.Timeline(), Shards: shards, Net: netCfg}
+	opts := experiment.Options{Executor: pool.Executor(), Metrics: prof.Registry(), LBTimeline: prof.Timeline()}
 	start := time.Now()
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "figures:", err)
@@ -177,153 +291,78 @@ func main() {
 		}
 		client = &service.Client{BaseURL: *submit}
 	}
-	// remote evaluates one table figure through the scenario service: the
-	// locally assembled Spec is posted, the job awaited (a repeat of the
-	// same Spec is a cache hit served without simulating) and the named
-	// CSV artifact printed in place of the local ASCII table.
-	remote := func(method string, spec experiment.Spec, artifact string) {
-		spec.Net = netCfg
-		view, err := client.Run(ctx, service.Request{Method: method, Spec: spec})
+	// Every scenario of every figure runs with the -scale, -shards and
+	// network flags, carried on its Spec so a -submit run computes exactly
+	// what the local run does.
+	base := experiment.Spec{Scale: *scale, Net: netCfg, Shards: shards}
+	figs := tableFigures(base, cores, seeds)
+
+	// runTable evaluates one table figure: locally, the method's table is
+	// printed and optionally written as CSV/SVG; with -submit, the Spec is
+	// posted to the scenario service, the job awaited (a repeat of the
+	// same Spec is a cache hit served without simulating) and the table's
+	// CSV artifact printed instead.
+	runTable := func(tf tableFigure) {
+		for _, line := range tf.title {
+			fmt.Println(line)
+		}
+		if client != nil {
+			view, err := client.Run(ctx, service.Request{Method: tf.method, Spec: tf.spec})
+			if err != nil {
+				fail(err)
+			}
+			if view.State == service.StateFailed {
+				fail(fmt.Errorf("remote job %s failed: %s", view.ID, view.Error))
+			}
+			source := "computed"
+			if view.Cached {
+				source = "cache hit"
+			}
+			art, ok := view.Artifacts[tf.table]
+			if !ok {
+				fail(fmt.Errorf("remote job %s has no %s artifact", view.ID, tf.table))
+			}
+			b, err := client.Artifact(ctx, art)
+			if err != nil {
+				fail(err)
+			}
+			os.Stdout.Write(b)
+			fmt.Fprintf(os.Stderr, "figures: job %s (%s): %s is %s%s\n",
+				view.ID, source, tf.table, strings.TrimRight(*submit, "/"), art.URL)
+			fmt.Println()
+			return
+		}
+		out, err := tf.spec.Run(ctx, tf.method, opts)
 		if err != nil {
 			fail(err)
 		}
-		if view.State == service.StateFailed {
-			fail(fmt.Errorf("remote job %s failed: %s", view.ID, view.Error))
+		tab := out.Tables[tf.table]
+		tab.Write(os.Stdout)
+		if tf.chart != nil && *plotDir != "" {
+			chart := tf.chart(tf.spec.App, out.Rows.([]experiment.Eval))
+			writeFile(filepath.Join(*plotDir, tf.file+".svg"), chart.Render)
 		}
-		source := "computed"
-		if view.Cached {
-			source = "cache hit"
+		if tf.file != "" && *csvDir != "" {
+			writeFile(filepath.Join(*csvDir, tf.file+".csv"), tab.WriteCSV)
 		}
-		art, ok := view.Artifacts[artifact]
-		if !ok {
-			fail(fmt.Errorf("remote job %s has no %s artifact", view.ID, artifact))
-		}
-		b, err := client.Artifact(ctx, art)
-		if err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(b)
-		fmt.Fprintf(os.Stderr, "figures: job %s (%s): %s is %s%s\n",
-			view.ID, source, artifact, strings.TrimRight(*submit, "/"), art.URL)
 		fmt.Println()
 	}
 
-	apps := map[string]experiment.AppKind{
-		"a": experiment.Jacobi2D,
-		"b": experiment.Wave2D,
-		"c": experiment.Mol3D,
-	}
-
 	run := func(f string) {
-		if client != nil {
-			switch f {
-			case "1", "3", "7", "diffusion":
+		switch f {
+		case "1", "3", "7", "diffusion":
+			if client != nil {
 				fail(fmt.Errorf("figure %q renders locally (timelines / host-time measurements); run it without -submit", f))
 			}
 		}
-		switch {
-		case f == "1":
+		switch f {
+		case "1":
 			fig1(*scale, *width, *svgPath)
-		case f == "3":
+			return
+		case "3":
 			fig3(*scale, *width, *svgPath)
-		case f == "compare":
-			fmt.Println("Strategy comparison (Wave2D, 8 cores, interfered):")
-			spec := experiment.Spec{
-				App: experiment.Wave2D, Cores: []int{8}, Seeds: []int64{1}, Scale: *scale,
-				Strategies: []experiment.StrategyKind{experiment.NoLB, experiment.Refine, experiment.RefineInternal,
-					experiment.RefineSwap, experiment.Greedy, experiment.Threshold, experiment.CostAware},
-			}
-			if client != nil {
-				remote("compare", spec, "table.csv")
-				break
-			}
-			results, err := spec.CompareStrategies(ctx, opts)
-			if err != nil {
-				fail(err)
-			}
-			experiment.CompareTable(results).Write(os.Stdout)
-			fmt.Println()
-		case f == "5":
-			// Extension beyond the paper: cloud elasticity. One spot
-			// revocation with a short warning takes a core away mid-run and
-			// a replacement arrives later; each strategy's penalty is
-			// measured against its own fault-free baseline.
-			const elasticCores = 8
-			sched := experiment.Fig5Schedule(elasticCores, *scale)
-			r := sched[0]
-			fmt.Printf("Figure 5: timing penalty of a spot revocation (Wave2D, %d cores)\n", elasticCores)
-			fmt.Printf("PE %d warned at t=%.3fs, core offline %.3f-%.3fs, replacement core %d\n",
-				r.PE, float64(r.At-r.Warning), float64(r.At), float64(r.Restore), r.ReplacementCore)
-			spec := experiment.Spec{
-				App: experiment.Wave2D, Cores: []int{elasticCores}, Seeds: seeds, Scale: *scale,
-				Strategies: []experiment.StrategyKind{experiment.NoLB, experiment.Refine, experiment.RefineSwap},
-				Faults:     sched,
-			}
-			if client != nil {
-				remote("elasticity", spec, "table.csv")
-				break
-			}
-			evals, err := spec.Elasticity(ctx, opts)
-			if err != nil {
-				fail(err)
-			}
-			tab := experiment.Fig5Table(evals)
-			tab.Write(os.Stdout)
-			if *csvDir != "" {
-				path := filepath.Join(*csvDir, "fig5_wave2d.csv")
-				out, err := os.Create(path)
-				if err != nil {
-					fail(err)
-				}
-				if err := tab.WriteCSV(out); err != nil {
-					fail(err)
-				}
-				out.Close()
-				fmt.Printf("wrote %s\n", path)
-			}
-			fmt.Println()
-		case f == "6" || f == "net":
-			// Extension beyond the paper: network interference, the cloud
-			// counterpart of Figure 2's CPU interference. The interfered
-			// Fig. 2 workload runs a drop% x straggler sweep per strategy;
-			// penalties are against the same strategy's run on the reliable
-			// uniform network, so the added cost of the degraded network —
-			// including the balancer's own migration traffic crossing it —
-			// is isolated from the CPU-interference cost.
-			const netCores = 8
-			fmt.Printf("Figure 6: timing penalty of network interference (Wave2D, %d cores, interfered)\n", netCores)
-			fmt.Printf("drop %% x straggler sweep; the straggler is the allocation's last node, its links get latency x factor and bandwidth / factor\n")
-			spec := experiment.Spec{
-				App: experiment.Wave2D, Cores: []int{netCores}, Seeds: seeds, Scale: *scale,
-				Strategies:      []experiment.StrategyKind{experiment.NoLB, experiment.Refine},
-				DropPcts:        []float64{0, 2, 10},
-				StraggleFactors: []float64{1, 16},
-				Net:             netCfg,
-			}
-			if client != nil {
-				remote("net", spec, "table.csv")
-				break
-			}
-			evals, err := spec.NetworkInterference(ctx, opts)
-			if err != nil {
-				fail(err)
-			}
-			tab := experiment.Fig6Table(evals)
-			tab.Write(os.Stdout)
-			if *csvDir != "" {
-				path := filepath.Join(*csvDir, "fig6_wave2d.csv")
-				out, err := os.Create(path)
-				if err != nil {
-					fail(err)
-				}
-				if err := tab.WriteCSV(out); err != nil {
-					fail(err)
-				}
-				out.Close()
-				fmt.Printf("wrote %s\n", path)
-			}
-			fmt.Println()
-		case f == "7" || f == "diffusion":
+			return
+		case "7", "diffusion":
 			// Extension beyond the paper: load balancing at cloud scale.
 			// The interfered Wave2D workload at 1024 cores / ~100k chares,
 			// DiffusionLB's distributed neighbor-exchange protocol against
@@ -333,123 +372,32 @@ func main() {
 			// dependent and goes to stderr.
 			fmt.Println("Figure 7: load balancing at cloud scale (Wave2D, 1024 cores, ~100k chares, interfered)")
 			fmt.Println("distributed diffusion vs centralized refinement; peak state B is the largest per-PE LB planning state")
-			evals, err := experiment.Fig7(ctx, opts, *scale)
+			evals, err := experiment.Fig7(ctx, opts, base)
 			if err != nil {
 				fail(err)
 			}
 			tab := experiment.Fig7Table(evals)
 			tab.Write(os.Stdout)
 			if *csvDir != "" {
-				path := filepath.Join(*csvDir, "fig7_wave2d.csv")
-				out, err := os.Create(path)
-				if err != nil {
-					fail(err)
-				}
-				if err := tab.WriteCSV(out); err != nil {
-					fail(err)
-				}
-				out.Close()
-				fmt.Printf("wrote %s\n", path)
+				writeFile(filepath.Join(*csvDir, "fig7_wave2d.csv"), tab.WriteCSV)
 			}
 			for _, e := range evals {
 				fmt.Fprintf(os.Stderr, "figures: fig7 %-14s Strategy.Plan host time %.3fs\n", e.Label, e.PlanHostSeconds)
 			}
 			fmt.Println()
-		case f == "sweep":
-			fmt.Println("Sensitivity of RefineLB's design parameters (Wave2D, 8 cores):")
-			spec := experiment.Spec{
-				App: experiment.Wave2D, Cores: []int{8}, Seeds: []int64{1}, Scale: *scale,
-				EpsFracs: []float64{0.01, 0.02, 0.05, 0.1}, Periods: []int{5, 10, 20, 40},
+			return
+		case "net":
+			f = "6"
+		}
+		matched := false
+		for _, tf := range figs {
+			// "2" and "4" select the panel of every application.
+			if tf.id == f || len(tf.id) == 2 && tf.id[:1] == f {
+				runTable(tf)
+				matched = true
 			}
-			if client != nil {
-				remote("sweep", spec, "table.csv")
-				break
-			}
-			points, err := spec.SweepRefineParams(ctx, opts)
-			if err != nil {
-				fail(err)
-			}
-			experiment.SweepTable(points).Write(os.Stdout)
-			fmt.Println()
-		case strings.HasPrefix(f, "2") || strings.HasPrefix(f, "4"):
-			suffix := strings.TrimLeft(f, "24")
-			var kinds []experiment.AppKind
-			if suffix == "" {
-				kinds = []experiment.AppKind{experiment.Jacobi2D, experiment.Wave2D, experiment.Mol3D}
-			} else if k, ok := apps[suffix]; ok {
-				kinds = []experiment.AppKind{k}
-			} else {
-				fmt.Fprintf(os.Stderr, "figures: unknown figure %q\n", f)
-				os.Exit(2)
-			}
-			for _, kind := range kinds {
-				spec := experiment.Spec{App: kind, Cores: cores, Seeds: seeds, Scale: *scale}
-				if client != nil {
-					// The evaluate method stores Figure 2 as table.csv and
-					// Figure 4 as energy.csv under one cache entry.
-					art := "table.csv"
-					if strings.HasPrefix(f, "4") {
-						art = "energy.csv"
-					}
-					fmt.Printf("Figure %c (%s)\n", f[0], kind)
-					remote("evaluate", spec, art)
-					continue
-				}
-				evals, err := spec.Evaluate(ctx, opts)
-				if err != nil {
-					fail(err)
-				}
-				var tab interface {
-					Write(io.Writer)
-					WriteCSV(io.Writer) error
-				}
-				if strings.HasPrefix(f, "2") {
-					fmt.Printf("Figure 2 (%s): timing penalty vs cores\n", kind)
-					tab = experiment.Fig2Table(kind, evals)
-				} else {
-					fmt.Printf("Figure 4 (%s): power and normalized energy overhead\n", kind)
-					tab = experiment.Fig4Table(kind, evals)
-				}
-				tab.Write(os.Stdout)
-				if *plotDir != "" {
-					name := fmt.Sprintf("fig%c_%s.svg", f[0], strings.ToLower(kind.String()))
-					path := filepath.Join(*plotDir, name)
-					out, err := os.Create(path)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "figures:", err)
-						os.Exit(1)
-					}
-					var chart plot.BarChart
-					if strings.HasPrefix(f, "2") {
-						chart = fig2Chart(kind, evals)
-					} else {
-						chart = fig4Chart(kind, evals)
-					}
-					if err := chart.Render(out); err != nil {
-						fmt.Fprintln(os.Stderr, "figures:", err)
-						os.Exit(1)
-					}
-					out.Close()
-					fmt.Printf("wrote %s\n", path)
-				}
-				if *csvDir != "" {
-					name := fmt.Sprintf("fig%c_%s.csv", f[0], strings.ToLower(kind.String()))
-					path := filepath.Join(*csvDir, name)
-					out, err := os.Create(path)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "figures:", err)
-						os.Exit(1)
-					}
-					if err := tab.WriteCSV(out); err != nil {
-						fmt.Fprintln(os.Stderr, "figures:", err)
-						os.Exit(1)
-					}
-					out.Close()
-					fmt.Printf("wrote %s\n", path)
-				}
-				fmt.Println()
-			}
-		default:
+		}
+		if !matched {
 			fmt.Fprintf(os.Stderr, "figures: unknown figure %q\n", f)
 			os.Exit(2)
 		}
@@ -500,8 +448,8 @@ func fig1(scale float64, width int, svgPath string) {
 	res.Trace.RenderASCII(os.Stdout, res.Cores, res.HogStart-span, res.HogStart, width)
 	fmt.Println("\n(b) core 3 overloaded:")
 	res.Trace.RenderASCII(os.Stdout, res.Cores, res.HogStart, res.HogStart+span, width)
-	writeSVG(svgPath, func(f *os.File) {
-		res.Trace.RenderSVG(f, res.Cores, 0, res.AppFinish, 1000)
+	writeSVG(svgPath, func(w io.Writer) {
+		res.Trace.RenderSVG(w, res.Cores, 0, res.AppFinish, 1000)
 	})
 	fmt.Println()
 }
@@ -527,22 +475,31 @@ func fig3(scale float64, width int, svgPath string) {
 		fmt.Println("\n" + p.label + ":")
 		res.Trace.RenderASCII(os.Stdout, res.Cores, p.from, p.to, width)
 	}
-	writeSVG(svgPath, func(f *os.File) {
-		res.Trace.RenderSVG(f, res.Cores, 0, res.AppFinish, 1200)
+	writeSVG(svgPath, func(w io.Writer) {
+		res.Trace.RenderSVG(w, res.Cores, 0, res.AppFinish, 1200)
 	})
 	fmt.Println()
 }
 
-func writeSVG(path string, render func(*os.File)) {
-	if path == "" {
-		return
+func writeSVG(path string, render func(io.Writer)) {
+	if path != "" {
+		writeFile(path, func(w io.Writer) error { render(w); return nil })
 	}
+}
+
+// writeFile creates path, renders into it and reports "wrote path" on
+// stdout (the status lines are part of the committed figure logs).
+func writeFile(path string, render func(io.Writer) error) {
 	f, err := os.Create(path)
+	if err == nil {
+		err = render(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	render(f)
 	fmt.Printf("wrote %s\n", path)
 }

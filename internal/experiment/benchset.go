@@ -31,35 +31,34 @@ type NamedBench struct {
 	Run  func()
 }
 
-// mustRun discards a Spec method's error: the sequential zero-Options
-// dispatch under a background context cannot fail.
-func mustRun[T any](v T, err error) T {
-	if err != nil {
+// mustRun evaluates a Spec with the named method, panicking on error:
+// the sequential zero-Options dispatch of a valid Spec under a
+// background context cannot fail.
+func mustRun(method string, sp Spec) {
+	if _, err := sp.Run(context.Background(), method, Options{}); err != nil {
 		panic(err)
 	}
-	return v
 }
 
 // FigureBenchmarks mirrors the root benchmark suite — one entry per
 // paper artifact (figures 1-4) plus the DESIGN.md ablations — as plain
 // closures a non-test binary can time with testing.Benchmark.
 func FigureBenchmarks() []NamedBench {
-	ctx := context.Background()
 	seeds := []int64{1}
 	return []NamedBench{
 		{"Fig2Jacobi2D", func() {
-			mustRun(Spec{App: Jacobi2D, Cores: []int{4, 8}, Seeds: seeds, Scale: BenchScale}.Evaluate(ctx, Options{}))
+			mustRun("evaluate", Spec{App: Jacobi2D, Cores: []int{4, 8}, Seeds: seeds, Scale: BenchScale})
 		}},
 		{"Fig2Wave2D", func() {
-			mustRun(Spec{App: Wave2D, Cores: []int{4, 8}, Seeds: seeds, Scale: BenchScale}.Evaluate(ctx, Options{}))
+			mustRun("evaluate", Spec{App: Wave2D, Cores: []int{4, 8}, Seeds: seeds, Scale: BenchScale})
 		}},
 		// Mol3D needs a few more LB periods than the stencils to converge
 		// under the 4x-preferred background job.
 		{"Fig2Mol3D", func() {
-			mustRun(Spec{App: Mol3D, Cores: []int{4, 8}, Seeds: seeds, Scale: 0.4}.Evaluate(ctx, Options{}))
+			mustRun("evaluate", Spec{App: Mol3D, Cores: []int{4, 8}, Seeds: seeds, Scale: 0.4})
 		}},
 		{"Fig4Energy", func() {
-			mustRun(Spec{App: Wave2D, Cores: []int{8}, Seeds: seeds, Scale: BenchScale}.Evaluate(ctx, Options{}))
+			mustRun("evaluate", Spec{App: Wave2D, Cores: []int{8}, Seeds: seeds, Scale: BenchScale})
 		}},
 		{"Fig1Timeline", func() { Fig1(BenchScale) }},
 		{"Fig3Adaptation", func() { Fig3(0.5) }},
@@ -72,8 +71,8 @@ func FigureBenchmarks() []NamedBench {
 			Run(Scenario{App: Wave2D, Cores: 4, Strategy: Greedy, BG: BGWave2D, Seed: 1, Scale: BenchScale})
 		}},
 		{"SweepRefineParams", func() {
-			mustRun(Spec{App: Wave2D, Cores: []int{4}, Seeds: seeds, Scale: BenchScale,
-				EpsFracs: []float64{0.02, 0.1}, Periods: []int{10, 40}}.SweepRefineParams(ctx, Options{}))
+			mustRun("sweep", Spec{App: Wave2D, Cores: []int{4}, Seeds: seeds, Scale: BenchScale,
+				EpsFracs: []float64{0.02, 0.1}, Periods: []int{10, 40}})
 		}},
 		{"ExtensionCloudChurn", func() {
 			Run(Scenario{App: Wave2D, Cores: 8, Strategy: NoLB, BG: BGCloudChurn, Seed: 1, Scale: 0.5})

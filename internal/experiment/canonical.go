@@ -160,10 +160,10 @@ func ParseSpec(data []byte) (Spec, error) {
 }
 
 // Canonical workload defaults: the value each zero Spec knob resolves to
-// at run time (see Scenario and the workload constants). CanonicalJSON
-// normalizes a knob to its effective value and elides it when it equals
-// the default, so Spec{} and Spec{SyncEvery: 10} — which run identically —
-// also hash identically.
+// at run time (see Scenario and the workload constants). Spec.normalized
+// resolves a knob to its effective value and CanonicalJSON elides it when
+// it equals the default, so Spec{} and Spec{SyncEvery: 10} — which run
+// identically — also hash identically.
 const (
 	defaultSyncEvery      = syncEvery
 	defaultCharesPerCore  = charesPerCore
@@ -279,10 +279,11 @@ func (c *canon) strs(name string, vs []string) {
 //
 //   - Fields appear in a fixed order, starting with the schema version
 //     ("v": SpecSchemaVersion).
-//   - Every knob is normalized to its effective runtime value (Scale 0 →
-//     1, SyncEvery 0 → 10, a zero Net → the resolved defaults, …) and
-//     elided when it equals the default, so spellings that run
-//     identically encode identically.
+//   - Every knob is normalized to its effective runtime value by
+//     Spec.normalized, the same function Spec.Run expands (Scale 0 → 1,
+//     Seeds [] → [1], SyncEvery 0 → 10, …; a zero Net → the resolved
+//     defaults), and elided when it equals the default, so spellings
+//     that run identically encode identically.
 //   - The revocation schedule is sorted by (At, PE) and straggler node
 //     sets are sorted and deduplicated — order-insensitive inputs are
 //     order-insensitive in the hash.
@@ -290,61 +291,51 @@ func (c *canon) strs(name string, vs []string) {
 //     classic engine at every shard count (make determinism), so the same
 //     scenario at -shards 1 and -shards 8 shares one cache entry.
 func (sp Spec) CanonicalJSON() []byte {
+	sp = sp.normalized()
 	c := &canon{}
 	c.open()
 	c.int("v", SpecSchemaVersion)
 	c.str("app", sp.App.String())
 	c.ints("cores", sp.Cores)
-
-	strategies := sp.Strategies
-	if len(strategies) == 0 {
-		strategies = []StrategyKind{NoLB}
-	}
-	if !(len(strategies) == 1 && strategies[0] == NoLB) {
-		names := make([]string, len(strategies))
-		for i, k := range strategies {
+	if !(len(sp.Strategies) == 1 && sp.Strategies[0] == NoLB) {
+		names := make([]string, len(sp.Strategies))
+		for i, k := range sp.Strategies {
 			names[i] = k.String()
 		}
 		c.strs("strategies", names)
 	}
-
-	seeds := sp.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1}
+	if !(len(sp.Seeds) == 1 && sp.Seeds[0] == 1) {
+		c.int64s("seeds", sp.Seeds)
 	}
-	if !(len(seeds) == 1 && seeds[0] == 1) {
-		c.int64s("seeds", seeds)
-	}
-
-	if s := sp.scale(); s != 1 {
-		c.float("scale", s)
+	if sp.Scale != 1 {
+		c.float("scale", sp.Scale)
 	}
 	if sp.BG != BGNone {
 		c.str("bg", sp.BG.String())
 	}
-	if w := sp.BGWeight; w > 0 && w != 1 {
-		c.float("bg_weight", w)
+	if sp.BGWeight != 1 {
+		c.float("bg_weight", sp.BGWeight)
 	}
-	if v := normInt(sp.BGIters, defaultBGIters); v != defaultBGIters {
-		c.int("bg_iters", int64(v))
+	if sp.BGIters != defaultBGIters {
+		c.int("bg_iters", int64(sp.BGIters))
 	}
-	if v := normInt(sp.SyncEvery, defaultSyncEvery); v != defaultSyncEvery {
-		c.int("sync_every", int64(v))
+	if sp.SyncEvery != defaultSyncEvery {
+		c.int("sync_every", int64(sp.SyncEvery))
 	}
-	if v := normInt(sp.CharesPerCore, defaultCharesPerCore); v != defaultCharesPerCore {
-		c.int("chares_per_core", int64(v))
+	if sp.CharesPerCore != defaultCharesPerCore {
+		c.int("chares_per_core", int64(sp.CharesPerCore))
 	}
-	if v := normInt(sp.StencilBlock, defaultStencilBlock); v != defaultStencilBlock {
-		c.int("stencil_block", int64(v))
+	if sp.StencilBlock != defaultStencilBlock {
+		c.int("stencil_block", int64(sp.StencilBlock))
 	}
-	if v := normFloat(sp.EpsilonFrac, defaultEpsilonFrac); v != defaultEpsilonFrac {
-		c.float("epsilon_frac", v)
+	if sp.EpsilonFrac != defaultEpsilonFrac {
+		c.float("epsilon_frac", sp.EpsilonFrac)
 	}
-	if v := normInt(sp.DiffRounds, defaultDiffRounds); v != defaultDiffRounds {
-		c.int("diff_rounds", int64(v))
+	if sp.DiffRounds != defaultDiffRounds {
+		c.int("diff_rounds", int64(sp.DiffRounds))
 	}
-	if v := normFloat(sp.DiffTol, defaultDiffTol); v != defaultDiffTol {
-		c.float("diff_tol", v)
+	if sp.DiffTol != defaultDiffTol {
+		c.float("diff_tol", sp.DiffTol)
 	}
 	if sp.InteractivityBonus != 0 {
 		c.float("interactivity_bonus", sp.InteractivityBonus)
@@ -377,8 +368,8 @@ func (sp Spec) CanonicalJSON() []byte {
 		}
 		c.buf.WriteByte(']')
 	}
-	if v := normFloat(float64(sp.MaxVirtualTime), defaultMaxVirtualTime); v != defaultMaxVirtualTime {
-		c.float("max_virtual_time", v)
+	if sp.MaxVirtualTime != defaultMaxVirtualTime {
+		c.float("max_virtual_time", float64(sp.MaxVirtualTime))
 	}
 	writeCanonicalNet(c, sp.Net)
 	if len(sp.EpsFracs) > 0 {

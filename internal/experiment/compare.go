@@ -14,13 +14,15 @@ type StrategyResult struct {
 	EnergyJ    float64
 }
 
-// CompareScenarios lists the comparison's batch: for each strategy, its
-// interference-free baseline followed by its interfered run.
-func CompareScenarios(app AppKind, cores int, strategies []StrategyKind, seed int64, scale float64) []Scenario {
+// compareBatch is the compare method's batch at the Spec's single core
+// count and seed: for each strategy, its interference-free baseline
+// followed by its interfered run.
+func compareBatch(sp Spec) []Scenario {
+	app, cores, seed, scale := sp.App, sp.Cores[0], sp.Seeds[0], sp.Scale
 	w := bgWeightFor(app)
 	iters := bgItersFor(app)
-	batch := make([]Scenario, 0, 2*len(strategies))
-	for _, k := range strategies {
+	batch := make([]Scenario, 0, 2*len(sp.Strategies))
+	for _, k := range sp.Strategies {
 		batch = append(batch,
 			Scenario{App: app, Cores: cores, Strategy: k, BG: BGNone, Seed: seed, Scale: scale},
 			Scenario{App: app, Cores: cores, Strategy: k, BG: BGWave2D,
@@ -30,11 +32,22 @@ func CompareScenarios(app AppKind, cores int, strategies []StrategyKind, seed in
 	return batch
 }
 
-// CompareTable renders a strategy comparison.
-func CompareTable(results []StrategyResult) *stats.Table {
+// compareReduce prices every strategy's interfered run against its own
+// interference-free baseline, as in the paper, in Strategies order.
+func compareReduce(sp Spec, _ []Scenario, results []Result) Output {
 	t := stats.NewTable("strategy", "wall s", "penalty %", "migrations", "energy J")
-	for _, r := range results {
-		t.AddRow(r.Strategy.String(), r.Wall, r.PenaltyPct, r.Migrations, r.EnergyJ)
+	var rows []StrategyResult
+	for i, k := range sp.Strategies {
+		base, r := results[2*i], results[2*i+1]
+		row := StrategyResult{
+			Strategy:   k,
+			Wall:       r.AppWall,
+			PenaltyPct: stats.TimingPenaltyPct(r.AppWall, base.AppWall),
+			Migrations: r.Migrations,
+			EnergyJ:    r.EnergyJ,
+		}
+		rows = append(rows, row)
+		t.AddRow(row.Strategy.String(), row.Wall, row.PenaltyPct, row.Migrations, row.EnergyJ)
 	}
-	return t
+	return Output{Rows: rows, Tables: map[string]*stats.Table{"table.csv": t}}
 }

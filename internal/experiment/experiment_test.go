@@ -110,11 +110,12 @@ func TestRunValidatesScenario(t *testing.T) {
 }
 
 func TestEvaluateShape(t *testing.T) {
-	evals, err := Spec{App: Wave2D, Cores: []int{4, 8}, Seeds: []int64{1}, Scale: quickScale}.
-		Evaluate(context.Background(), Options{})
+	out, err := Spec{App: Wave2D, Cores: []int{4, 8}, Seeds: []int64{1}, Scale: quickScale}.
+		Run(context.Background(), "evaluate", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	evals := out.Rows.([]Eval)
 	if len(evals) != 2 {
 		t.Fatalf("%d rows, want 2", len(evals))
 	}
@@ -132,11 +133,11 @@ func TestEvaluateShape(t *testing.T) {
 			t.Fatalf("LB power not above noLB at %d cores", e.Cores)
 		}
 	}
-	tab := Fig2Table(Wave2D, evals)
+	tab := out.Tables["table.csv"]
 	if tab.NumRows() != 2 {
 		t.Fatal("Fig2 table rows")
 	}
-	tab4 := Fig4Table(Wave2D, evals)
+	tab4 := out.Tables["energy.csv"]
 	if tab4.NumRows() != 2 {
 		t.Fatal("Fig4 table rows")
 	}
@@ -285,12 +286,13 @@ func TestKitchenSinkDeterministic(t *testing.T) {
 }
 
 func TestSweepRefineParams(t *testing.T) {
-	points, err := Spec{App: Wave2D, Cores: []int{4}, Seeds: []int64{1}, Scale: 0.5,
+	out, err := Spec{App: Wave2D, Cores: []int{4}, Seeds: []int64{1}, Scale: 0.5,
 		EpsFracs: []float64{0.02, 0.2}, Periods: []int{10, 40}}.
-		SweepRefineParams(context.Background(), Options{})
+		Run(context.Background(), "sweep", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := out.Rows.([]SweepPoint)
 	if len(points) != 4 {
 		t.Fatalf("%d points, want 4", len(points))
 	}
@@ -312,7 +314,7 @@ func TestSweepRefineParams(t *testing.T) {
 	if loose.Migrations > fast.Migrations {
 		t.Fatalf("eps 0.2 migrated more (%d) than eps 0.02 (%d)", loose.Migrations, fast.Migrations)
 	}
-	if tab := SweepTable(points); tab.NumRows() != 4 {
+	if tab := out.Tables["table.csv"]; tab.NumRows() != 4 {
 		t.Fatal("sweep table rows")
 	}
 }

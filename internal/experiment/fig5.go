@@ -25,31 +25,46 @@ type ElasticEval struct {
 // faulted run.
 const elasticRunsPerCell = 2
 
-// ElasticityScenarios lists the elasticity measurement matrix as a flat
-// batch: for each strategy, for each seed, the strategy's fault-free
-// baseline and its run under the schedule. The flat order is the
-// contract between Spec.Elasticity and its Executor.
-func ElasticityScenarios(app AppKind, cores int, strategies []StrategyKind, seeds []int64, scale float64, faults elastic.Schedule) []Scenario {
-	batch := make([]Scenario, 0, len(strategies)*len(seeds)*elasticRunsPerCell)
-	for _, k := range strategies {
-		for _, seed := range seeds {
+// elasticityBatch is the elasticity method's batch at the Spec's single
+// core count: for each strategy, for each seed, the strategy's
+// fault-free baseline and its run under the Spec's fault schedule.
+func elasticityBatch(sp Spec) []Scenario {
+	app, cores, scale := sp.App, sp.Cores[0], sp.Scale
+	batch := make([]Scenario, 0, len(sp.Strategies)*len(sp.Seeds)*elasticRunsPerCell)
+	for _, k := range sp.Strategies {
+		for _, seed := range sp.Seeds {
 			batch = append(batch,
 				Scenario{App: app, Cores: cores, Strategy: k, Seed: seed, Scale: scale},
-				Scenario{App: app, Cores: cores, Strategy: k, Seed: seed, Scale: scale, Faults: faults},
+				Scenario{App: app, Cores: cores, Strategy: k, Seed: seed, Scale: scale, Faults: sp.Faults},
 			)
 		}
 	}
 	return batch
 }
 
-// Fig5Table renders the elasticity evaluation: timing penalty of a spot
-// revocation and replacement, per strategy.
-func Fig5Table(evals []ElasticEval) *stats.Table {
+// elasticityReduce averages each strategy's penalty over the seeds and
+// renders the Figure 5 table: timing penalty of a spot revocation and
+// replacement, per strategy.
+func elasticityReduce(sp Spec, _ []Scenario, results []Result) Output {
 	t := stats.NewTable("strategy", "base s", "faulted s", "penalty %", "evacuations", "migrations")
-	for _, e := range evals {
+	var evals []ElasticEval
+	for ki, k := range sp.Strategies {
+		mean := func(slot int, m func(Result) float64) float64 {
+			return seedMean(results, ki*len(sp.Seeds)*elasticRunsPerCell+slot, elasticRunsPerCell, len(sp.Seeds), m)
+		}
+		const base, faulted = 0, 1
+		e := ElasticEval{
+			Strategy:    k,
+			BaseWall:    mean(base, appWall),
+			FaultWall:   mean(faulted, appWall),
+			PenaltyPct:  stats.TimingPenaltyPct(mean(faulted, appWall), mean(base, appWall)),
+			Evacuations: int(mean(faulted, evacuations) + 0.5),
+			Migrations:  int(mean(faulted, migrations) + 0.5),
+		}
+		evals = append(evals, e)
 		t.AddRow(e.Strategy.String(), e.BaseWall, e.FaultWall, e.PenaltyPct, e.Evacuations, e.Migrations)
 	}
-	return t
+	return Output{Rows: evals, Tables: map[string]*stats.Table{"table.csv": t}}
 }
 
 // Fig5Schedule is the canonical single-revocation script used by the

@@ -49,12 +49,13 @@ func TestFaultsRequireApp(t *testing.T) {
 // replacement is at most half the noLB penalty (the balancer refills the
 // restored PE; without it the evacuees crowd the surviving cores forever).
 func TestFig5RefineBeatsNoLB(t *testing.T) {
-	evals, err := Spec{App: Wave2D, Cores: []int{8}, Strategies: []StrategyKind{NoLB, Refine},
+	out, err := Spec{App: Wave2D, Cores: []int{8}, Strategies: []StrategyKind{NoLB, Refine},
 		Seeds: []int64{1}, Scale: 0.5, Faults: Fig5Schedule(8, 0.5)}.
-		Elasticity(context.Background(), Options{})
+		Run(context.Background(), "elasticity", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	evals := out.Rows.([]ElasticEval)
 	no, ref := evals[0], evals[1]
 	if no.Strategy != NoLB || ref.Strategy != Refine {
 		t.Fatalf("rows out of order: %+v", evals)

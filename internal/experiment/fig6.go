@@ -1,9 +1,6 @@
 package experiment
 
 import (
-	"context"
-	"fmt"
-
 	"cloudlb/internal/stats"
 	"cloudlb/internal/xnet"
 )
@@ -40,27 +37,26 @@ func netCell(base xnet.Config, cores int, dropPct, straggle float64) xnet.Config
 	return cfg
 }
 
-// NetworkScenarios lists the network-interference measurement matrix as
-// a flat batch: DropPcts × StraggleFactors × strategies × seeds, in that
-// nesting order. The flat order is the contract between
-// Spec.NetworkInterference and its Executor.
-func NetworkScenarios(app AppKind, cores int, strategies []StrategyKind, seeds []int64, scale float64, drops, straggles []float64, base xnet.Config) []Scenario {
-	// Resolve the base up front so every cell — the reliable baseline
-	// included — carries a fully-specified config that Options.Net can
-	// never mistake for "no choice" and overwrite.
-	base = base.Resolved()
-	batch := make([]Scenario, 0, len(drops)*len(straggles)*len(strategies)*len(seeds))
-	for _, drop := range drops {
-		for _, straggle := range straggles {
+// netBatch is the net method's batch at the Spec's single core count:
+// DropPcts × StraggleFactors × strategies × seeds, in that nesting
+// order. Each cell overlays the Spec's network, resolved up front so
+// every cell — the reliable baseline included — carries a
+// fully-specified config that Spec.Net decoration never overwrites.
+func netBatch(sp Spec) []Scenario {
+	base := sp.Net.Resolved()
+	cores := sp.Cores[0]
+	batch := make([]Scenario, 0, len(sp.DropPcts)*len(sp.StraggleFactors)*len(sp.Strategies)*len(sp.Seeds))
+	for _, drop := range sp.DropPcts {
+		for _, straggle := range sp.StraggleFactors {
 			net := netCell(base, cores, drop, straggle)
-			for _, k := range strategies {
-				for _, seed := range seeds {
+			for _, k := range sp.Strategies {
+				for _, seed := range sp.Seeds {
 					// The interfered Fig. 2 workload, not a quiet one: the
 					// balancer must be active so its reaction — and its
 					// migration traffic — also crosses the degraded network.
 					batch = append(batch, Scenario{
-						App: app, Cores: cores, Strategy: k, BG: BGWave2D,
-						Seed: seed, Scale: scale, Net: net,
+						App: sp.App, Cores: cores, Strategy: k, BG: BGWave2D,
+						Seed: seed, Scale: sp.Scale, Net: net,
 					})
 				}
 			}
@@ -69,72 +65,34 @@ func NetworkScenarios(app AppKind, cores int, strategies []StrategyKind, seeds [
 	return batch
 }
 
-// NetworkInterference runs the Spec's DropPcts × StraggleFactors sweep
-// for every strategy at the Spec's single core count, averaged over
-// Seeds. Both sweep axes must start at the reliable-uniform point
-// (DropPcts[0] == 0, StraggleFactors[0] == 1): that cell is every
-// strategy's penalty baseline. As with Evaluate, the assembled rows are
-// identical for every dispatch mode.
-func (sp Spec) NetworkInterference(ctx context.Context, opts Options) ([]NetEval, error) {
-	cores, err := sp.oneCores("NetworkInterference")
-	if err != nil {
-		return nil, err
+// netReduce averages every cell over the seeds, prices it against the
+// same strategy's reliable-uniform cell (DropPcts[0] == 0,
+// StraggleFactors[0] == 1, which the method's check guarantees) and
+// renders the Figure 6 table.
+func netReduce(sp Spec, _ []Scenario, results []Result) Output {
+	t := stats.NewTable("drop %", "straggler x", "strategy", "wall s", "penalty %", "migrations", "retransmits")
+	// mean averages m over the seeds of matrix cell (di, si, ki).
+	mean := func(di, si, ki int, m func(Result) float64) float64 {
+		off := ((di*len(sp.StraggleFactors)+si)*len(sp.Strategies) + ki) * len(sp.Seeds)
+		return seedMean(results, off, 1, len(sp.Seeds), m)
 	}
-	drops, straggles := sp.DropPcts, sp.StraggleFactors
-	if len(drops) == 0 || drops[0] != 0 {
-		return nil, fmt.Errorf("experiment: Spec.NetworkInterference needs DropPcts starting at 0 (the baseline cell), got %v", drops)
-	}
-	if len(straggles) == 0 || straggles[0] != 1 {
-		return nil, fmt.Errorf("experiment: Spec.NetworkInterference needs StraggleFactors starting at 1 (the baseline cell), got %v", straggles)
-	}
-	results, err := opts.run(ctx, NetworkScenarios(sp.App, cores, sp.Strategies, sp.Seeds, sp.scale(), drops, straggles, sp.Net))
-	if err != nil {
-		return nil, err
-	}
-	// cell(di, si, ki) is the per-seed slice of one matrix cell.
-	cell := func(di, si, ki int) []Result {
-		off := ((di*len(straggles)+si)*len(sp.Strategies) + ki) * len(sp.Seeds)
-		return results[off : off+len(sp.Seeds)]
-	}
-	baseWall := make([]float64, len(sp.Strategies))
-	for ki := range sp.Strategies {
-		var walls []float64
-		for _, r := range cell(0, 0, ki) {
-			walls = append(walls, r.AppWall)
-		}
-		baseWall[ki] = stats.Mean(walls)
-	}
-	var out []NetEval
-	for di, drop := range drops {
-		for si, straggle := range straggles {
+	var evals []NetEval
+	for di, drop := range sp.DropPcts {
+		for si, straggle := range sp.StraggleFactors {
 			for ki, k := range sp.Strategies {
-				var walls, migs, retrans []float64
-				for _, r := range cell(di, si, ki) {
-					walls = append(walls, r.AppWall)
-					migs = append(migs, float64(r.Migrations))
-					retrans = append(retrans, float64(r.NetRetransmits))
-				}
-				out = append(out, NetEval{
+				e := NetEval{
 					DropPct:     drop,
 					Straggle:    straggle,
 					Strategy:    k,
-					Wall:        stats.Mean(walls),
-					PenaltyPct:  stats.TimingPenaltyPct(stats.Mean(walls), baseWall[ki]),
-					Migrations:  int(stats.Mean(migs) + 0.5),
-					Retransmits: int(stats.Mean(retrans) + 0.5),
-				})
+					Wall:        mean(di, si, ki, appWall),
+					PenaltyPct:  stats.TimingPenaltyPct(mean(di, si, ki, appWall), mean(0, 0, ki, appWall)),
+					Migrations:  int(mean(di, si, ki, migrations) + 0.5),
+					Retransmits: int(mean(di, si, ki, retransmits) + 0.5),
+				}
+				evals = append(evals, e)
+				t.AddRow(e.DropPct, e.Straggle, e.Strategy.String(), e.Wall, e.PenaltyPct, e.Migrations, e.Retransmits)
 			}
 		}
 	}
-	return out, nil
-}
-
-// Fig6Table renders the network-interference evaluation: timing penalty
-// of packet loss and a straggler node, per strategy.
-func Fig6Table(evals []NetEval) *stats.Table {
-	t := stats.NewTable("drop %", "straggler x", "strategy", "wall s", "penalty %", "migrations", "retransmits")
-	for _, e := range evals {
-		t.AddRow(e.DropPct, e.Straggle, e.Strategy.String(), e.Wall, e.PenaltyPct, e.Migrations, e.Retransmits)
-	}
-	return t
+	return Output{Rows: evals, Tables: map[string]*stats.Table{"table.csv": t}}
 }

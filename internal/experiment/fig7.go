@@ -73,7 +73,7 @@ type DiffEval struct {
 // Fig7Scenarios lists the comparison's batch in fig7Rows order. Each
 // scenario carries its own metrics registry (regs, parallel to the
 // batch) so the per-strategy round/state series can be read back without
-// cross-contamination; Options.run only attaches its shared registry to
+// cross-contamination; Options only attaches its shared registry to
 // scenarios that have none.
 func Fig7Scenarios(scale float64) (batch []Scenario, regs []*metrics.Registry) {
 	for _, row := range fig7Rows {
@@ -93,10 +93,14 @@ func Fig7Scenarios(scale float64) (batch []Scenario, regs []*metrics.Registry) {
 }
 
 // Fig7 runs the cloud-scale comparison and assembles one row per
-// strategy.
-func Fig7(ctx context.Context, opts Options, scale float64) ([]DiffEval, error) {
-	batch, regs := Fig7Scenarios(scale)
-	results, err := opts.run(ctx, batch)
+// strategy. Its run shape is fixed: of the Spec it reads only Scale and
+// the Net/Shards every scenario runs with. It is not a registry method
+// because its rows carry host planning time read back from per-scenario
+// registries, which no stored artifact may depend on.
+func Fig7(ctx context.Context, opts Options, sp Spec) ([]DiffEval, error) {
+	sp = sp.normalized()
+	batch, regs := Fig7Scenarios(sp.Scale)
+	results, err := opts.run(ctx, sp.decorate(batch))
 	if err != nil {
 		return nil, err
 	}

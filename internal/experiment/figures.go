@@ -60,21 +60,21 @@ func bgItersFor(app AppKind) int {
 }
 
 // evalRunsPerCell is the number of scenarios behind one (core count, seed)
-// cell of the Figure 2 / Figure 4 matrix, in EvaluateScenarios order:
+// cell of the Figure 2 / Figure 4 matrix, in evaluateBatch order:
 // interference-free noLB, interference-free RefineLB, background alone,
 // interfered noLB, interfered RefineLB.
 const evalRunsPerCell = 5
 
-// EvaluateScenarios lists the full measurement matrix behind Evaluate as a
-// flat batch: for each core count, for each seed, the evalRunsPerCell runs
-// of that cell. The flat order is the contract between Spec.Evaluate and its
-// Executor — results must come back slotted to the same indices.
-func EvaluateScenarios(app AppKind, coreCounts []int, seeds []int64, scale float64) []Scenario {
+// evaluateBatch is the evaluate method's batch — the full Figure 2 +
+// Figure 4 measurement matrix: for each core count, for each seed, the
+// evalRunsPerCell runs of that cell.
+func evaluateBatch(sp Spec) []Scenario {
+	app, scale := sp.App, sp.Scale
 	w := bgWeightFor(app)
 	iters := bgItersFor(app)
-	batch := make([]Scenario, 0, len(coreCounts)*len(seeds)*evalRunsPerCell)
-	for _, cores := range coreCounts {
-		for _, seed := range seeds {
+	batch := make([]Scenario, 0, len(sp.Cores)*len(sp.Seeds)*evalRunsPerCell)
+	for _, cores := range sp.Cores {
+		for _, seed := range sp.Seeds {
 			batch = append(batch,
 				Scenario{App: app, Cores: cores, Strategy: NoLB, BG: BGNone, Seed: seed, Scale: scale},
 				Scenario{App: app, Cores: cores, Strategy: Refine, BG: BGNone, Seed: seed, Scale: scale},
@@ -87,26 +87,66 @@ func EvaluateScenarios(app AppKind, coreCounts []int, seeds []int64, scale float
 	return batch
 }
 
-// Fig2Table renders Figure 2 for one application: timing penalty versus
+// evaluateReduce averages each core count's cells over the seeds into
+// one Eval row, rendered as Figure 2 (table.csv: timing penalty versus
 // core count for the parallel job and the background job, with and
-// without load balancing.
-func Fig2Table(app AppKind, evals []Eval) *stats.Table {
-	t := stats.NewTable("cores", "noLB %", "LB %", "BG noLB %", "BG LB %")
-	for _, e := range evals {
-		t.AddRow(e.Cores, e.PenAppNoLB, e.PenAppLB, e.PenBGNoLB, e.PenBGLB)
+// without load balancing) and Figure 4 (energy.csv: average power and
+// normalized energy overhead).
+func evaluateReduce(sp Spec, _ []Scenario, results []Result) Output {
+	fig2 := stats.NewTable("cores", "noLB %", "LB %", "BG noLB %", "BG LB %")
+	fig4 := stats.NewTable("cores", "noLB W", "LB W", "noLB energy ovh %", "LB energy ovh %")
+	var evals []Eval
+	for ci, cores := range sp.Cores {
+		// mean averages run slot's m over the core count's seeds.
+		mean := func(slot int, m func(Result) float64) float64 {
+			return seedMean(results, ci*len(sp.Seeds)*evalRunsPerCell+slot, evalRunsPerCell, len(sp.Seeds), m)
+		}
+		const baseNoLB, baseLB, bgAlone, noLB, lb = 0, 1, 2, 3, 4
+		e := Eval{
+			App: sp.App, Cores: cores,
+			BaseWallNoLB:  mean(baseNoLB, appWall),
+			BaseWallLB:    mean(baseLB, appWall),
+			BGBase:        mean(bgAlone, bgWall),
+			PenAppNoLB:    stats.TimingPenaltyPct(mean(noLB, appWall), mean(baseNoLB, appWall)),
+			PenAppLB:      stats.TimingPenaltyPct(mean(lb, appWall), mean(baseLB, appWall)),
+			PenBGNoLB:     stats.TimingPenaltyPct(mean(noLB, bgWall), mean(bgAlone, bgWall)),
+			PenBGLB:       stats.TimingPenaltyPct(mean(lb, bgWall), mean(bgAlone, bgWall)),
+			PowerBase:     mean(baseNoLB, powerW),
+			PowerNoLB:     mean(noLB, powerW),
+			PowerLB:       mean(lb, powerW),
+			EnergyOvhNoLB: stats.EnergyOverheadPct(mean(noLB, energyJ), mean(baseNoLB, energyJ)),
+			EnergyOvhLB:   stats.EnergyOverheadPct(mean(lb, energyJ), mean(baseLB, energyJ)),
+			MigrationsLB:  int(mean(lb, migrations) + 0.5),
+			LBSteps:       int(mean(lb, lbSteps) + 0.5),
+		}
+		evals = append(evals, e)
+		fig2.AddRow(e.Cores, e.PenAppNoLB, e.PenAppLB, e.PenBGNoLB, e.PenBGLB)
+		fig4.AddRow(e.Cores, e.PowerNoLB, e.PowerLB, e.EnergyOvhNoLB, e.EnergyOvhLB)
 	}
-	return t
+	return Output{Rows: evals, Tables: map[string]*stats.Table{"table.csv": fig2, "energy.csv": fig4}}
 }
 
-// Fig4Table renders Figure 4 for one application: average power and
-// normalized energy overhead versus core count.
-func Fig4Table(app AppKind, evals []Eval) *stats.Table {
-	t := stats.NewTable("cores", "noLB W", "LB W", "noLB energy ovh %", "LB energy ovh %")
-	for _, e := range evals {
-		t.AddRow(e.Cores, e.PowerNoLB, e.PowerLB, e.EnergyOvhNoLB, e.EnergyOvhLB)
+// seedMean averages m over n runs starting at results[first], stride
+// apart: one measurement of one matrix cell across the seeds. The values
+// are gathered in seed order, so every float accumulates in the same
+// order at any executor width.
+func seedMean(results []Result, first, stride, n int, m func(Result) float64) float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = m(results[first+i*stride])
 	}
-	return t
+	return stats.Mean(v)
 }
+
+// Result measurements the reducers average.
+func appWall(r Result) float64     { return r.AppWall }
+func bgWall(r Result) float64      { return r.BGWall }
+func powerW(r Result) float64      { return r.AvgPowerW }
+func energyJ(r Result) float64     { return r.EnergyJ }
+func migrations(r Result) float64  { return float64(r.Migrations) }
+func lbSteps(r Result) float64     { return float64(r.LBSteps) }
+func evacuations(r Result) float64 { return float64(r.Evacuations) }
+func retransmits(r Result) float64 { return float64(r.NetRetransmits) }
 
 // Fig1Result carries the timeline experiment of Figure 1.
 type Fig1Result struct {

@@ -15,13 +15,21 @@ type SweepPoint struct {
 	LBSteps     int
 }
 
-// SweepScenarios lists the sweep's batch: the interference-free baseline
-// first, then one interfered run per (epsilon, period) cell in grid order.
-func SweepScenarios(app AppKind, cores int, epsFracs []float64, periods []int, seed int64, scale float64) []Scenario {
-	batch := make([]Scenario, 0, 1+len(epsFracs)*len(periods))
+// sweepBatch is the sweep method's batch, mapping RefineLB's two
+// tunables — the tolerance ε (as a fraction of T_avg, the EpsFracs axis)
+// and the load balancing period (the Periods axis) — on the standard
+// interfered workload at the Spec's single core count and seed: the
+// interference-free baseline first, then one interfered run per
+// (epsilon, period) cell in grid order. It quantifies the design
+// constraints documented in DESIGN.md: ε must stay below the
+// background-induced uplift of T_avg (~1/P), and the period trades
+// reaction latency against LB overhead.
+func sweepBatch(sp Spec) []Scenario {
+	app, cores, seed, scale := sp.App, sp.Cores[0], sp.Seeds[0], sp.Scale
+	batch := make([]Scenario, 0, 1+len(sp.EpsFracs)*len(sp.Periods))
 	batch = append(batch, Scenario{App: app, Cores: cores, Strategy: Refine, BG: BGNone, Seed: seed, Scale: scale})
-	for _, eps := range epsFracs {
-		for _, period := range periods {
+	for _, eps := range sp.EpsFracs {
+		for _, period := range sp.Periods {
 			batch = append(batch, Scenario{
 				App: app, Cores: cores, Strategy: Refine, BG: BGWave2D,
 				Seed: seed, BGWeight: bgWeightFor(app), BGIters: bgItersFor(app),
@@ -32,11 +40,24 @@ func SweepScenarios(app AppKind, cores int, epsFracs []float64, periods []int, s
 	return batch
 }
 
-// SweepTable renders sweep results as a table.
-func SweepTable(points []SweepPoint) *stats.Table {
+// sweepReduce prices every grid cell against the baseline.
+func sweepReduce(sp Spec, _ []Scenario, results []Result) Output {
 	t := stats.NewTable("eps_frac", "sync_every", "penalty %", "migrations", "lb_steps")
-	for _, p := range points {
-		t.AddRow(fmt.Sprintf("%.3f", p.EpsilonFrac), p.SyncEvery, p.PenaltyPct, p.Migrations, p.LBSteps)
+	base := results[0]
+	var points []SweepPoint
+	for i, eps := range sp.EpsFracs {
+		for j, period := range sp.Periods {
+			r := results[1+i*len(sp.Periods)+j]
+			p := SweepPoint{
+				EpsilonFrac: eps,
+				SyncEvery:   period,
+				PenaltyPct:  stats.TimingPenaltyPct(r.AppWall, base.AppWall),
+				Migrations:  r.Migrations,
+				LBSteps:     r.LBSteps,
+			}
+			points = append(points, p)
+			t.AddRow(fmt.Sprintf("%.3f", p.EpsilonFrac), p.SyncEvery, p.PenaltyPct, p.Migrations, p.LBSteps)
+		}
 	}
-	return t
+	return Output{Rows: points, Tables: map[string]*stats.Table{"table.csv": t}}
 }

@@ -33,15 +33,15 @@ func (e *ValidationError) Error() string {
 }
 
 // Validate checks every Spec field against the preconditions Run and the
-// Spec methods enforce, returning nil or a *ValidationError listing each
-// offending field. It is the single validation gate: the service's HTTP
-// 400 path and the CLI flag parsers both call it, so a bad knob fails
-// with the same message everywhere instead of panicking mid-simulation.
+// registered methods enforce, returning nil or a *ValidationError listing
+// each offending field. It is the single validation gate: the service's
+// HTTP 400 path and the CLI flag parsers both call it, so a bad knob
+// fails with the same message everywhere instead of panicking
+// mid-simulation.
 //
-// Method-specific shape requirements (one core count for
-// CompareStrategies, baseline-first sweep axes for NetworkInterference,
-// …) stay with their methods: Validate accepts any Spec some method can
-// run.
+// Method-specific shape requirements (one core count for compare,
+// baseline-first sweep axes for net, …) are each method's check, added
+// by ValidateMethod: Validate accepts any Spec some method can run.
 func (sp Spec) Validate() error {
 	var errs []FieldError
 	add := func(field, format string, args ...any) {

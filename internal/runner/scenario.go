@@ -49,6 +49,23 @@ func (b *BatchStats) EventsPerSec() float64 {
 	return float64(b.Events) / b.Wall.Seconds()
 }
 
+// Progress receives scenario-batch lifecycle notifications — the hook
+// behind the telemetry server's /api/run fleet view and the service's
+// per-job progress. RunBatch is the only notifier: a batch reports
+// progress exactly when it runs on a Pool. Implementations must be
+// safe for concurrent use: the Scenario callbacks arrive from many
+// worker goroutines at once. Trackers accumulate across batches, so a
+// multi-batch run (cmd/figures) reports fleet-wide totals.
+type Progress interface {
+	// BatchQueued announces n scenarios entering the queue.
+	BatchQueued(n int)
+	// ScenarioStarted marks batch index i as in flight.
+	ScenarioStarted(index int)
+	// ScenarioDone reports one finished scenario: its batch index, real
+	// execution time, and simulation events executed.
+	ScenarioDone(index int, wall time.Duration, events uint64)
+}
+
 // Pool runs experiment scenario batches on a bounded worker pool and
 // accumulates throughput statistics across batches. The zero value is
 // ready to use and selects GOMAXPROCS workers. A Pool may be shared: its
@@ -66,7 +83,7 @@ type Pool struct {
 	// Progress, when non-nil, receives batch lifecycle notifications
 	// (telemetry's live /api/run view). Callbacks arrive from worker
 	// goroutines; implementations must be concurrency-safe.
-	Progress experiment.Progress
+	Progress Progress
 
 	mu        sync.Mutex
 	wall      time.Duration
@@ -155,7 +172,7 @@ func (p *Pool) RunBatch(ctx context.Context, batch []experiment.Scenario) ([]exp
 }
 
 // Executor adapts the pool to the experiment package's Executor hook, so
-// Evaluate/Sweep/Compare batches fan out over the pool's workers.
+// a Spec.Run batch fans out over the pool's workers.
 func (p *Pool) Executor() experiment.Executor {
 	return func(ctx context.Context, batch []experiment.Scenario) ([]experiment.Result, error) {
 		results, _, err := p.RunBatch(ctx, batch)

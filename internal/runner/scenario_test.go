@@ -23,6 +23,16 @@ func evalsEqual(a, b experiment.Eval) bool {
 		a.MigrationsLB == b.MigrationsLB && a.LBSteps == b.LBSteps
 }
 
+// runMethod runs a Spec method on exec and returns its rows.
+func runMethod[R any](t *testing.T, spec experiment.Spec, method string, exec experiment.Executor) []R {
+	t.Helper()
+	out, err := spec.Run(context.Background(), method, experiment.Options{Executor: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Rows.([]R)
+}
+
 // TestParallelEvaluateMatchesSequential is the determinism contract behind
 // the committed results/ tree: the Figure 2(a) batch run through an
 // 8-worker pool must produce exactly the Eval rows of a sequential run.
@@ -33,15 +43,9 @@ func TestParallelEvaluateMatchesSequential(t *testing.T) {
 	const scale = 0.1
 
 	spec := experiment.Spec{App: app, Cores: cores, Seeds: seeds, Scale: scale}
-	seq, err := spec.Evaluate(context.Background(), experiment.Options{Executor: experiment.RunAll})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runMethod[experiment.Eval](t, spec, "evaluate", experiment.RunAll)
 	pool := &Pool{Workers: 8}
-	par, err := spec.Evaluate(context.Background(), experiment.Options{Executor: pool.Executor()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := runMethod[experiment.Eval](t, spec, "evaluate", pool.Executor())
 	if len(seq) != len(par) {
 		t.Fatalf("row counts differ: %d sequential vs %d parallel", len(seq), len(par))
 	}
@@ -65,19 +69,13 @@ func TestParallelElasticityMatchesAcrossWorkerCounts(t *testing.T) {
 
 	spec := experiment.Spec{App: app, Cores: []int{cores}, Strategies: strategies,
 		Seeds: seeds, Scale: scale, Faults: faults}
-	seq, err := spec.Elasticity(context.Background(), experiment.Options{Executor: experiment.RunAll})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runMethod[experiment.ElasticEval](t, spec, "elasticity", experiment.RunAll)
 	if seq[1].Evacuations == 0 {
 		t.Fatal("schedule revoked nothing — the batch is not exercising elasticity")
 	}
 	for _, workers := range []int{1, 2, 8} {
 		pool := &Pool{Workers: workers}
-		par, err := spec.Elasticity(context.Background(), experiment.Options{Executor: pool.Executor()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		par := runMethod[experiment.ElasticEval](t, spec, "elasticity", pool.Executor())
 		if len(par) != len(seq) {
 			t.Fatalf("%d workers: %d rows, want %d", workers, len(par), len(seq))
 		}
@@ -133,7 +131,10 @@ func TestRunBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pool := &Pool{Workers: 2}
-	batch := experiment.EvaluateScenarios(experiment.Jacobi2D, []int{4}, []int64{1, 2, 3}, 0.1)
+	batch, err := experiment.Spec{App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1, 2, 3}, Scale: 0.1}.Batch("evaluate")
+	if err != nil {
+		t.Fatal(err)
+	}
 	results, _, err := pool.RunBatch(ctx, batch)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -141,10 +142,10 @@ func TestRunBatchCancellation(t *testing.T) {
 	if results != nil {
 		t.Fatal("cancelled batch returned results")
 	}
-	// The same cancellation must surface through Spec.Evaluate.
+	// The same cancellation must surface through Spec.Run.
 	spec := experiment.Spec{App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1}, Scale: 0.1}
-	if _, err := spec.Evaluate(ctx, experiment.Options{Executor: pool.Executor()}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Spec.Evaluate err = %v, want context.Canceled", err)
+	if _, err := spec.Run(ctx, "evaluate", experiment.Options{Executor: pool.Executor()}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Spec.Run err = %v, want context.Canceled", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package service is the job-oriented scenario-evaluation service: the
-// batch binaries' evaluation entry points (experiment.Spec and its
-// methods) exposed as a versioned HTTP API with a content-addressed
-// result cache.
+// batch binaries' evaluation entry point (experiment.Spec.Run over the
+// method registry) exposed as a versioned HTTP API with a
+// content-addressed result cache.
 //
 //	POST /api/v1/jobs             submit a Request; 400 lists typed field errors
 //	GET  /api/v1/jobs             list jobs, newest first
@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"cloudlb/internal/experiment"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/obs"
 	"cloudlb/internal/service/store"
@@ -146,7 +147,7 @@ func (j *job) view() JobView {
 }
 
 // jobProgress adapts the runner pool's Progress callbacks to one job's
-// counters. Implements experiment.Progress structurally.
+// counters.
 type jobProgress struct {
 	s *Service
 	j *job
@@ -444,7 +445,7 @@ func (s *Service) Ready() error {
 // links the cache key at the resulting manifest. The job trace is
 // serialized last (as trace_spans.json) so it covers every span the run
 // recorded; tr may be nil in tests.
-func (s *Service) storeArtifacts(req Request, out *computed, reg *metrics.Registry, tr *obs.Trace) (map[string]Artifact, error) {
+func (s *Service) storeArtifacts(req Request, out experiment.Output, reg *metrics.Registry, tr *obs.Trace) (map[string]Artifact, error) {
 	hashes := map[string]string{}
 
 	put := func(name string, b []byte) error {
@@ -459,14 +460,14 @@ func (s *Service) storeArtifacts(req Request, out *computed, reg *metrics.Regist
 	if err := put("request.json", req.canonicalJSON()); err != nil {
 		return nil, err
 	}
-	rows, err := json.Marshal(out.rows)
+	rows, err := json.Marshal(out.Rows)
 	if err != nil {
 		return nil, fmt.Errorf("artifact rows.json: %w", err)
 	}
 	if err := put("rows.json", rows); err != nil {
 		return nil, err
 	}
-	for name, t := range out.tables {
+	for name, t := range out.Tables {
 		var buf bytes.Buffer
 		if err := t.WriteCSV(&buf); err != nil {
 			return nil, fmt.Errorf("artifact %s: %w", name, err)
@@ -482,13 +483,13 @@ func (s *Service) storeArtifacts(req Request, out *computed, reg *metrics.Regist
 	if err := put("metrics.json", met); err != nil {
 		return nil, err
 	}
-	if out.trace != nil {
-		if err := put("trace.json", out.trace); err != nil {
+	if out.Trace != nil {
+		if err := put("trace.json", out.Trace); err != nil {
 			return nil, err
 		}
 	}
 	if tr != nil {
-		spans, err := tr.ChromeJSON(out.trace)
+		spans, err := tr.ChromeJSON(out.Trace)
 		if err != nil {
 			return nil, fmt.Errorf("artifact trace_spans.json: %w", err)
 		}

@@ -13,6 +13,7 @@ import (
 	"cloudlb/internal/experiment"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/service/store"
+	"cloudlb/internal/xnet"
 )
 
 func newTestService(t *testing.T, live *metrics.Registry) (*Service, *httptest.Server) {
@@ -196,20 +197,72 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("unknown field: status %d", resp.StatusCode)
 	}
 
-	// Method-shape errors surface as failed jobs, not hung ones: compare
-	// needs exactly one core count.
-	_, tsURL := ts, ts.URL
-	client := &Client{BaseURL: tsURL}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	// Method-shape errors are 400s at submit time too, each naming the
+	// offending Spec field, never accepted jobs that can only fail.
+	shapes := []struct {
+		method, spec, field string
+	}{
+		{"compare", `{"app":"Jacobi2D","cores":[4,8]}`, "spec.cores"},
+		{"compare", `{"app":"Jacobi2D","cores":[4],"seeds":[1,2]}`, "spec.seeds"},
+		{"sweep", `{"app":"Jacobi2D","cores":[4],"periods":[10]}`, "spec.eps_fracs"},
+		{"sweep", `{"app":"Jacobi2D","cores":[4],"eps_fracs":[0.02]}`, "spec.periods"},
+		{"net", `{"app":"Wave2D","cores":[8],"drop_pcts":[2,0],"straggle_factors":[1]}`, "spec.drop_pcts[0]"},
+		{"net", `{"app":"Wave2D","cores":[8],"drop_pcts":[0],"straggle_factors":[4]}`, "spec.straggle_factors[0]"},
+		{"evaluate", `{"app":"none","bg":"wave2d","cores":[4]}`, "spec.app"},
+	}
+	for _, c := range shapes {
+		resp, body := post(`{"method":"` + c.method + `","spec":` + c.spec + `}`)
+		var verr struct {
+			Errors []experiment.FieldError `json:"errors"`
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", c.method, c.spec, resp.StatusCode)
+			continue
+		}
+		if err := json.Unmarshal(body, &verr); err != nil || len(verr.Errors) != 1 || verr.Errors[0].Field != c.field {
+			t.Errorf("%s %s: errors %s, want exactly one on %s", c.method, c.spec, body, c.field)
+		}
+	}
+}
+
+// TestLossyNetMatchesLocal: a service job carries Spec.Net into every
+// scenario, so an evaluate job on a lossy network reproduces the local
+// registry run byte for byte — and differs from the reliable run.
+func TestLossyNetMatchesLocal(t *testing.T) {
+	_, ts := newTestService(t, nil)
+	client := &Client{BaseURL: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	view, err := client.Run(ctx, Request{Method: "compare", Spec: experiment.Spec{
-		App: experiment.Jacobi2D, Cores: []int{4, 8},
-		Strategies: []experiment.StrategyKind{experiment.NoLB}, Seeds: []int64{1}, Scale: 0.05}})
+
+	reliable := experiment.Spec{App: experiment.Wave2D, Cores: []int{8}, Scale: 0.05}
+	lossy := reliable
+	lossy.Net = xnet.Config{DropPct: 10, Seed: 7}
+	remote := func(sp experiment.Spec) []byte {
+		t.Helper()
+		view, err := client.Run(ctx, Request{Method: "evaluate", Spec: sp})
+		if err != nil || view.State != StateDone {
+			t.Fatalf("evaluate job: %v %+v", err, view)
+		}
+		b, err := client.Artifact(ctx, view.Artifacts["table.csv"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	out, err := lossy.Run(ctx, "evaluate", experiment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.State != StateFailed || !strings.Contains(view.Error, "core count") {
-		t.Fatalf("want failed job naming the core-count constraint, got %s %q", view.State, view.Error)
+	var local bytes.Buffer
+	if err := out.Tables["table.csv"].WriteCSV(&local); err != nil {
+		t.Fatal(err)
+	}
+	got := remote(lossy)
+	if !bytes.Equal(got, local.Bytes()) {
+		t.Fatalf("service and local lossy runs differ:\nservice:\n%s\nlocal:\n%s", got, local.Bytes())
+	}
+	if bytes.Equal(got, remote(reliable)) {
+		t.Fatal("10% packet loss did not change the evaluate table")
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 
 // RunTracker aggregates fleet progress across every scenario batch of a
 // run: totals, in-flight count, event throughput, a per-scenario wall
-// histogram and an ETA. It satisfies experiment.Progress structurally,
-// so runner.Pool and experiment.Options feed it without this package
-// importing either. All methods are safe on a nil receiver (the
+// histogram and an ETA. It satisfies runner.Progress structurally, so
+// runner.Pool feeds it without this package importing the runner. All methods are safe on a nil receiver (the
 // disabled state the cmds wire unconditionally) and safe for concurrent
 // use from pool workers.
 type RunTracker struct {

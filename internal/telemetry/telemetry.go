@@ -146,6 +146,16 @@ func (s *Server) AddReadiness(name string, fn func() error) {
 	s.readyMu.Unlock()
 }
 
+// Connection timeouts of the HTTP server. A client that trickles its
+// request headers, or parks an idle keep-alive connection, is cut off
+// instead of holding a connection open forever. There is deliberately no
+// WriteTimeout: /events SSE streams and pprof profiles are long-lived
+// responses, and a write deadline would sever them mid-stream.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Start listens on addr (":0" picks a free port) and serves in the
 // background. It returns the bound address for the caller to print.
 func (s *Server) Start(addr string) (string, error) {
@@ -154,7 +164,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("telemetry: %w", err)
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = s.srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

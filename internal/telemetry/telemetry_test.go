@@ -17,6 +17,7 @@ import (
 	"cloudlb/internal/experiment"
 	"cloudlb/internal/metrics"
 	"cloudlb/internal/obs"
+	"cloudlb/internal/runner"
 	"cloudlb/internal/telemetry"
 )
 
@@ -306,8 +307,9 @@ func TestConcurrentScrape(t *testing.T) {
 		}()
 	}
 	spec := experiment.Spec{App: experiment.Jacobi2D, Cores: []int{4}, Seeds: []int64{1, 2}, Scale: 0.1}
-	_, err := spec.Evaluate(context.Background(), experiment.Options{
-		Metrics: reg, LBTimeline: tl, Progress: tracker, Parallel: 2,
+	pool := &runner.Pool{Workers: 2, Progress: tracker}
+	_, err := spec.Run(context.Background(), "evaluate", experiment.Options{
+		Executor: pool.Executor(), Metrics: reg, LBTimeline: tl,
 	})
 	close(stop)
 	wg.Wait()
