@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check bench benchjson determinism verify-results figures metrics-smoke serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke figures-smoke
+.PHONY: build test vet lint race check bench benchjson determinism verify-results figures metrics-smoke serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke figures-smoke perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,7 @@ lint: vet
 race:
 	$(GO) test -race ./...
 
-check: build lint test race bench serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke figures-smoke determinism
+check: build lint test race bench serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke figures-smoke determinism perfbench-smoke
 
 # Benchmark smoke: every benchmark runs exactly one iteration. Catches
 # bench bodies that rot (they only compile under -bench) without paying
@@ -54,13 +54,25 @@ benchjson:
 # Sharded-scheduler determinism gate, named so `make check` runs it even
 # when the cached `race` target is skipped: the same scenario at shards
 # {1,2,4,8} x GOMAXPROCS {1,4} under the race detector must produce an
-# identical Result, metric snapshot and trace hash, and the classic
-# -shards 1 path must stay allocation-free in steady state. The alloc
-# gate runs without -race (instrumentation perturbs allocation counts);
-# -count=1 defeats the test cache so the gates always execute.
+# identical Result, metric snapshot and trace hash, and both the classic
+# -shards 1 runtime path and the Wave2D stencil superstep must stay
+# allocation-free in steady state. The alloc gates run without -race
+# (instrumentation perturbs allocation counts); -count=1 defeats the test
+# cache so the gates always execute.
 determinism:
 	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestShardsAutoResolve' ./internal/experiment
-	$(GO) test -count=1 -run TestClassicScenarioSteadyStateAllocFree ./internal/experiment
+	$(GO) test -count=1 -run 'TestClassicScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree' ./internal/experiment
+
+# Benchmark smoke: the perfbench module's own tests (it is a separate Go
+# module, so `go test ./...` at the root never sees it), then a short
+# untraced stencil-testbed run whose result line must report no failed
+# op — a failed op is an error or a result that drifted from
+# perfbench/reference.json.
+perfbench-smoke:
+	cd perfbench && $(GO) test .
+	@last=$$(bash perfbench/run.sh --workload stencil-testbed --seconds 3 --trace 0 | tail -n 1); \
+	echo "$$last" | grep -q '"failed":0' || { echo "perfbench-smoke: stencil-testbed failed ops: $$last"; exit 1; }; \
+	echo "perfbench-smoke: stencil-testbed OK"
 
 # Metrics smoke: one small Wave2D scenario with the Prometheus export on
 # stderr, asserting the acceptance-critical series are present and

@@ -9,21 +9,54 @@ import (
 	"cloudlb/internal/xnet"
 )
 
+// kernelBenchCases are the timed block shapes: a 64x64 block on the
+// physical boundary, and the 16x16 interior block with all four ghost
+// edges that the Fig. 2 testbed steps.
+var kernelBenchCases = []struct {
+	name  string
+	size  int
+	edges bool
+}{
+	{"64x64/boundary", 64, false},
+	{"16x16/4edges", 16, true},
+}
+
+func benchEdges(n int, present bool) *[numDirs][]float64 {
+	var edges [numDirs][]float64
+	if present {
+		for d := range edges {
+			edges[d] = make([]float64, n)
+			for i := range edges[d] {
+				edges[d][i] = 0.5
+			}
+		}
+	}
+	return &edges
+}
+
 func BenchmarkJacobiKernelStep(b *testing.B) {
-	k := NewJacobiKernel(64, 64)(0, 0, 0, 0, 64, 64).(*JacobiKernel)
-	edges := map[int][]float64{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step(edges)
+	for _, bc := range kernelBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			k := NewJacobiKernel(4*bc.size, 4*bc.size)(1, 1, bc.size, bc.size, bc.size, bc.size)
+			edges := benchEdges(bc.size, bc.edges)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step(edges)
+			}
+		})
 	}
 }
 
 func BenchmarkWaveKernelStep(b *testing.B) {
-	k := NewWaveKernel(64, 64, 0.4)(0, 0, 0, 0, 64, 64).(*WaveKernel)
-	edges := map[int][]float64{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step(edges)
+	for _, bc := range kernelBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			k := NewWaveKernel(4*bc.size, 4*bc.size, 0.4)(1, 1, bc.size, bc.size, bc.size, bc.size)
+			edges := benchEdges(bc.size, bc.edges)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step(edges)
+			}
+		})
 	}
 }
 

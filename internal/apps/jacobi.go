@@ -4,12 +4,14 @@ package apps
 // on one block of the global grid. The global boundary condition is
 // Dirichlet: the top edge of the domain is held at 1.0, the other three
 // edges at 0.0, so the solution converges to the harmonic interpolation.
+// Both grids are ghost-padded (see grid.go).
 type JacobiKernel struct {
-	w, h   int // block size
-	x0, y0 int // global offset of this block
-	gw, gh int // global grid size
-	cur    []float64
-	next   []float64
+	w, h int // block size
+	// north is the ghost row without a north neighbor: the Dirichlet
+	// value 1.0 on the global top edge, 0 elsewhere.
+	north float64
+	cur   []float64
+	next  []float64
 	// lastDelta is the max absolute update of the latest Step, for
 	// convergence monitoring.
 	lastDelta float64
@@ -19,63 +21,37 @@ type JacobiKernel struct {
 // gw x gh grid, initialized to zero.
 func NewJacobiKernel(gw, gh int) func(bx, by, x0, y0, w, h int) Kernel {
 	return func(bx, by, x0, y0, w, h int) Kernel {
-		return &JacobiKernel{
-			w: w, h: h, x0: x0, y0: y0, gw: gw, gh: gh,
-			cur:  make([]float64, w*h),
-			next: make([]float64, w*h),
+		k := &JacobiKernel{
+			w: w, h: h,
+			cur:  make([]float64, ghostLen(w, h)),
+			next: make([]float64, ghostLen(w, h)),
 		}
+		if y0 == 0 {
+			k.north = 1.0 // top edge held hot
+		}
+		return k
 	}
 }
 
-func (k *JacobiKernel) at(x, y int) float64 { return k.cur[y*k.w+x] }
+func (k *JacobiKernel) at(x, y int) float64 { return k.cur[ghostIdx(k.w, x, y)] }
 
-// boundary returns the Dirichlet value just outside the global grid.
-func (k *JacobiKernel) boundary(gx, gy int) float64 {
-	if gy < 0 {
-		return 1.0 // top edge held hot
-	}
-	return 0.0
-}
-
-// neighborValue resolves the stencil neighbor at block-local (x, y),
-// which may fall in a ghost edge or on the physical boundary.
-func (k *JacobiKernel) neighborValue(x, y int, edges map[int][]float64) float64 {
-	switch {
-	case y < 0:
-		if e, ok := edges[dirN]; ok {
-			return e[x]
-		}
-		return k.boundary(k.x0+x, k.y0+y)
-	case y >= k.h:
-		if e, ok := edges[dirS]; ok {
-			return e[x]
-		}
-		return k.boundary(k.x0+x, k.y0+y)
-	case x < 0:
-		if e, ok := edges[dirW]; ok {
-			return e[y]
-		}
-		return k.boundary(k.x0+x, k.y0+y)
-	case x >= k.w:
-		if e, ok := edges[dirE]; ok {
-			return e[y]
-		}
-		return k.boundary(k.x0+x, k.y0+y)
-	}
-	return k.at(x, y)
-}
-
-// Step implements Kernel: next = average of the four neighbors.
-func (k *JacobiKernel) Step(edges map[int][]float64) {
+// Step implements Kernel: next = 0.25·(N+S+W+E), summed in that order.
+func (k *JacobiKernel) Step(edges *[numDirs][]float64) {
+	w, s := k.w, k.w+2
+	cur, next := k.cur, k.next
+	fillGhosts(cur, w, k.h, edges, k.north)
 	maxDelta := 0.0
-	for y := 0; y < k.h; y++ {
-		for x := 0; x < k.w; x++ {
-			v := 0.25 * (k.neighborValue(x, y-1, edges) +
-				k.neighborValue(x, y+1, edges) +
-				k.neighborValue(x-1, y, edges) +
-				k.neighborValue(x+1, y, edges))
-			k.next[y*k.w+x] = v
-			d := v - k.at(x, y)
+	for row := s; row <= k.h*s; row += s {
+		out := next[row+1 : row+1+w]
+		up := cur[row-s+1 : row-s+1+w][:len(out)]
+		down := cur[row+s+1 : row+s+1+w][:len(out)]
+		west := cur[row : row+w][:len(out)]
+		mid := cur[row+1 : row+1+w][:len(out)]
+		east := cur[row+2 : row+2+w][:len(out)]
+		for x := range out {
+			v := 0.25 * (up[x] + down[x] + west[x] + east[x])
+			out[x] = v
+			d := v - mid[x]
 			if d < 0 {
 				d = -d
 			}
@@ -88,32 +64,12 @@ func (k *JacobiKernel) Step(edges map[int][]float64) {
 	k.lastDelta = maxDelta
 }
 
-// Edge implements Kernel, returning a copy of the block's boundary row or
-// column facing d. (A copy is required: the stencil chare may advance the
-// kernel again before the message leaves the PE.)
-func (k *JacobiKernel) Edge(d int) []float64 {
-	switch d {
-	case dirN:
-		return append([]float64(nil), k.cur[:k.w]...)
-	case dirS:
-		return append([]float64(nil), k.cur[(k.h-1)*k.w:]...)
-	case dirW:
-		e := make([]float64, k.h)
-		for y := 0; y < k.h; y++ {
-			e[y] = k.at(0, y)
-		}
-		return e
-	case dirE:
-		e := make([]float64, k.h)
-		for y := 0; y < k.h; y++ {
-			e[y] = k.at(k.w-1, y)
-		}
-		return e
-	}
-	panic("apps: bad edge direction")
+// AppendEdge implements Kernel.
+func (k *JacobiKernel) AppendEdge(dst []float64, d int) []float64 {
+	return appendEdge(dst, k.cur, k.w, k.h, d)
 }
 
-// Bytes implements Kernel.
+// Bytes implements Kernel: the unpadded block.
 func (k *JacobiKernel) Bytes() int { return 8 * k.w * k.h }
 
 // LastDelta returns the largest cell update of the most recent Step.

@@ -15,25 +15,20 @@ func TestQuickJacobiMaximumPrinciple(t *testing.T) {
 	f := func(seed uint32) bool {
 		r := rand.New(rand.NewSource(int64(seed)))
 		k := NewJacobiKernel(16, 16)(0, 0, 4, 4, 8, 8).(*JacobiKernel)
-		for i := range k.cur {
-			k.cur[i] = r.Float64()
+		for y := 0; y < 8; y++ {
+			for x := 0; x < 8; x++ {
+				k.set(x, y, r.Float64())
+			}
 		}
-		edges := map[int][]float64{}
-		for _, d := range []int{dirN, dirS} {
+		var edges [numDirs][]float64
+		for d := range edges {
 			e := make([]float64, 8)
 			for i := range e {
 				e[i] = r.Float64()
 			}
 			edges[d] = e
 		}
-		for _, d := range []int{dirW, dirE} {
-			e := make([]float64, 8)
-			for i := range e {
-				e[i] = r.Float64()
-			}
-			edges[d] = e
-		}
-		k.Step(edges)
+		k.Step(&edges)
 		for y := 0; y < 8; y++ {
 			for x := 0; x < 8; x++ {
 				v := k.Value(x, y)
@@ -54,9 +49,10 @@ func TestQuickJacobiMaximumPrinciple(t *testing.T) {
 func TestQuickWaveSuperposition(t *testing.T) {
 	mk := func(r *rand.Rand) *WaveKernel {
 		k := NewWaveKernel(8, 8, 0.4)(0, 0, 0, 0, 8, 8).(*WaveKernel)
-		for i := range k.u {
-			k.u[i] = r.NormFloat64()
-			k.uPrev[i] = r.NormFloat64()
+		for y := 0; y < 8; y++ {
+			for x := 0; x < 8; x++ {
+				k.set(x, y, r.NormFloat64(), r.NormFloat64())
+			}
 		}
 		return k
 	}
@@ -64,14 +60,15 @@ func TestQuickWaveSuperposition(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		a, b := mk(r), mk(r)
 		sum := NewWaveKernel(8, 8, 0.4)(0, 0, 0, 0, 8, 8).(*WaveKernel)
-		for i := range sum.u {
-			sum.u[i] = a.u[i] + b.u[i]
-			sum.uPrev[i] = a.uPrev[i] + b.uPrev[i]
+		for y := 0; y < 8; y++ {
+			for x := 0; x < 8; x++ {
+				sum.set(x, y, a.Value(x, y)+b.Value(x, y), a.prevValue(x, y)+b.prevValue(x, y))
+			}
 		}
-		edges := map[int][]float64{} // physical boundary on all sides
-		a.Step(edges)
-		b.Step(edges)
-		sum.Step(edges)
+		var edges [numDirs][]float64 // physical boundary on all sides
+		a.Step(&edges)
+		b.Step(&edges)
+		sum.Step(&edges)
 		for y := 0; y < 8; y++ {
 			for x := 0; x < 8; x++ {
 				if math.Abs(sum.Value(x, y)-(a.Value(x, y)+b.Value(x, y))) > 1e-9 {
@@ -129,7 +126,7 @@ func TestQuickLJForceCutoff(t *testing.T) {
 	}
 }
 
-// Property: Edge returns copies — mutating the returned slice must not
+// Property: AppendEdge copies — mutating the returned slice must not
 // alter kernel state (the stencil chare relies on this to send edges
 // while continuing to step).
 func TestQuickEdgeIsCopy(t *testing.T) {
@@ -139,12 +136,12 @@ func TestQuickEdgeIsCopy(t *testing.T) {
 	} {
 		k := mkKernel()
 		for d := 0; d < numDirs; d++ {
-			e := k.Edge(d)
-			before := append([]float64(nil), k.Edge(d)...)
+			e := k.AppendEdge(nil, d)
+			before := k.AppendEdge(nil, d)
 			for i := range e {
 				e[i] = 1e9
 			}
-			after := k.Edge(d)
+			after := k.AppendEdge(nil, d)
 			for i := range after {
 				if after[i] != before[i] {
 					t.Fatalf("dir %d: mutating the returned edge changed kernel state", d)

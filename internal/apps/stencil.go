@@ -57,12 +57,13 @@ type ResidualKernel interface {
 // Kernel is the numerical core of a 2D stencil application, owning one
 // chare's block of the global grid.
 type Kernel interface {
-	// Step advances one iteration given the available ghost edges
-	// (indexed by direction; absent directions are physical boundaries).
-	Step(edges map[int][]float64)
-	// Edge returns the block's current boundary values facing direction
-	// d, to be sent to the neighbor there.
-	Edge(d int) []float64
+	// Step advances one iteration given the ghost edges received for it,
+	// indexed by direction; a nil slot is a physical boundary. The kernel
+	// copies what it needs before returning and keeps no reference.
+	Step(edges *[numDirs][]float64)
+	// AppendEdge appends the block's current boundary values facing
+	// direction d to dst and returns the result, for the neighbor there.
+	AppendEdge(dst []float64, d int) []float64
 	// Bytes returns the serialized size of the kernel state.
 	Bytes() int
 }
@@ -131,8 +132,7 @@ func NewStencilApp(rts *charm.RTS, cfg StencilConfig) *StencilApp {
 		bx, by := i%cfg.CharesX, i/cfg.CharesX
 		c := &stencilChare{
 			app: app, index: i, bx: bx, by: by,
-			kernel:      cfg.NewKernel(bx, by, bx*bw, by*bh, bw, bh),
-			futureEdges: make(map[int]map[int][]float64),
+			kernel: cfg.NewKernel(bx, by, bx*bw, by*bh, bw, bh),
 		}
 		app.chares[i] = c
 		return c
@@ -151,25 +151,44 @@ func (a *StencilApp) Kernel(bx, by int) Kernel { return a.Chare(bx, by).kernel }
 // Iterations returns the completed iteration count of block (bx, by).
 func (a *StencilApp) Iterations(bx, by int) int { return a.Chare(bx, by).iter }
 
+// edgeMsg carries one ghost edge. It travels as a pointer into the
+// sender's outbox, so a send boxes nothing.
 type edgeMsg struct {
 	Iter int
 	Dir  int // direction from the sender's point of view
 	Data []float64
 }
 
+// edgeSet collects the edges received for one iteration, indexed by the
+// receiving side.
+type edgeSet struct {
+	edges [numDirs][]float64
+	n     int
+}
+
 // stencilChare runs one block of the stencil.
+//
+// Edge buffers are two-deep rings indexed by iteration&1. A neighbor runs
+// at most one iteration ahead (it needs this chare's edge for iteration k
+// before it can send its own for k+1), so only iterations iter and iter+1
+// can be pending in inbox. The same bound makes outbox reuse safe: this
+// chare writes its iteration k+2 payload only after finishing iteration
+// k+1, which needed each neighbor's k+1 edge, which each neighbor sent
+// only after its Step for k had copied this chare's k payload. The chain
+// runs through message delivery, so it holds across shards too.
 type stencilChare struct {
 	app    *StencilApp
 	index  int
 	bx, by int
 	kernel Kernel
 
-	iter        int
-	atSync      bool                      // between AtSync and Resume; no stepping
-	stopAt      int                       // converged: finish before computing this iteration (0 = run to Iters)
-	finished    bool                      // Done has been signaled
-	futureEdges map[int]map[int][]float64 // iter -> recvDir -> edge
-	nbrs        []int                     // cached neighbors(); the decomposition never changes
+	iter     int
+	atSync   bool // between AtSync and Resume; no stepping
+	stopAt   int  // converged: finish before computing this iteration (0 = run to Iters)
+	finished bool // Done has been signaled
+	inbox    [2]edgeSet
+	outbox   [2][numDirs]edgeMsg
+	nbrs     []int // cached neighbors(); the decomposition never changes
 }
 
 // PackSize implements charm.Chare.
@@ -224,17 +243,18 @@ func (c *stencilChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 		c.atSync = false
 		c.sendEdges(ctx)
 		return c.drainReady(ctx)
-	case edgeMsg:
-		bucket, ok := c.futureEdges[m.Iter]
-		if !ok {
-			bucket = make(map[int][]float64, numDirs)
-			c.futureEdges[m.Iter] = bucket
+	case *edgeMsg:
+		if m.Iter != c.iter && m.Iter != c.iter+1 {
+			panic(fmt.Sprintf("apps: chare %d at iteration %d got an edge for iteration %d; neighbors run at most one iteration ahead",
+				c.index, c.iter, m.Iter))
 		}
+		set := &c.inbox[m.Iter&1]
 		recvDir := opposite(m.Dir)
-		if _, dup := bucket[recvDir]; dup {
+		if set.edges[recvDir] != nil {
 			panic(fmt.Sprintf("apps: duplicate edge iter=%d dir=%d at chare %d", m.Iter, recvDir, c.index))
 		}
-		bucket[recvDir] = m.Data
+		set.edges[recvDir] = m.Data
+		set.n++
 		return c.drainReady(ctx)
 	case charm.ReductionResult:
 		if c.app.cfg.ConvergeEps > 0 && strings.HasPrefix(m.Tag, residualTagPrefix) &&
@@ -285,12 +305,12 @@ func (c *stencilChare) drainReady(ctx *charm.Ctx) float64 {
 			ctx.Done()
 			return cost
 		}
-		bucket := c.futureEdges[c.iter]
-		if len(bucket) != len(c.neighbors()) {
+		set := &c.inbox[c.iter&1]
+		if set.n != len(c.neighbors()) {
 			return cost
 		}
-		delete(c.futureEdges, c.iter)
-		c.kernel.Step(bucket)
+		c.kernel.Step(&set.edges)
+		*set = edgeSet{}
 		bw := c.app.cfg.GridW / c.app.cfg.CharesX
 		bh := c.app.cfg.GridH / c.app.cfg.CharesY
 		step := float64(bw*bh) * c.app.cfg.CostPerCell
@@ -320,10 +340,13 @@ func (c *stencilChare) drainReady(ctx *charm.Ctx) float64 {
 	}
 }
 
-// sendEdges ships this block's boundary values for the current iteration.
+// sendEdges ships this block's boundary values for the current iteration
+// from the outbox slot of that iteration.
 func (c *stencilChare) sendEdges(ctx *charm.Ctx) {
 	for _, d := range c.neighbors() {
-		edge := c.kernel.Edge(d)
-		ctx.Send(c.neighborID(d), edgeMsg{Iter: c.iter, Dir: d, Data: edge}, 8*len(edge)+24)
+		m := &c.outbox[c.iter&1][d]
+		m.Iter, m.Dir = c.iter, d
+		m.Data = c.kernel.AppendEdge(m.Data[:0], d)
+		ctx.Send(c.neighborID(d), m, 8*len(m.Data)+24)
 	}
 }

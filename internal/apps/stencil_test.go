@@ -1,7 +1,9 @@
 package apps
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cloudlb/internal/charm"
@@ -367,6 +369,43 @@ func TestStencilSingleChare(t *testing.T) {
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("cell %d: got %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// An edge is accepted only for the receiver's current iteration or the
+// next one; anything further ahead means the exchange protocol broke and
+// must fail loudly, naming the chare and both iterations.
+func TestStencilEdgeWindow(t *testing.T) {
+	_, rts := testRTS(t, 1, 2)
+	app := NewStencilApp(rts, StencilConfig{
+		Array: "wave", GridW: 8, GridH: 4, CharesX: 2, CharesY: 1,
+		Iters: 10, CostPerCell: 1e-6,
+		NewKernel: NewWaveKernel(8, 4, 0.4),
+	})
+	c := app.Chare(0, 0)
+	deliver := func(iter int) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		// The chare's east neighbor sends westward. With the current
+		// iteration's edge still missing, Recv returns before touching
+		// the (nil) context.
+		c.Recv(nil, &edgeMsg{Iter: iter, Dir: dirW, Data: make([]float64, 4)})
+		return ""
+	}
+	if msg := deliver(1); msg != "" {
+		t.Fatalf("edge one iteration ahead rejected: %s", msg)
+	}
+	if msg := deliver(1); !strings.Contains(msg, "duplicate edge") {
+		t.Fatalf("duplicate edge: got panic %q, want a duplicate-edge panic", msg)
+	}
+	msg := deliver(2)
+	for _, want := range []string{"chare 0", "iteration 0", "iteration 2"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("edge two iterations ahead: panic %q does not mention %q", msg, want)
 		}
 	}
 }

@@ -12,14 +12,15 @@ import "math"
 // pulse centered in the global domain, so blocks initialize consistently
 // regardless of decomposition. This is the paper's Wave2D, used both as a
 // measured application and as the 2-core interfering background job.
+//
+// Both time levels are ghost-padded (see grid.go); only u's ghost ring is
+// ever filled or read. Step writes the new level over uPrev in place: a
+// cell's uPrev value is read only by that cell's own update.
 type WaveKernel struct {
 	w, h    int
-	x0, y0  int
-	gw, gh  int
 	courant float64
 	u       []float64
 	uPrev   []float64
-	uNext   []float64
 }
 
 // NewWaveKernel returns a factory for blocks of a gw x gh domain with the
@@ -29,11 +30,11 @@ func NewWaveKernel(gw, gh int, courant float64) func(bx, by, x0, y0, w, h int) K
 		courant = 0.4
 	}
 	return func(bx, by, x0, y0, w, h int) Kernel {
+		n := ghostLen(w, h)
 		k := &WaveKernel{
-			w: w, h: h, x0: x0, y0: y0, gw: gw, gh: gh, courant: courant,
-			u:     make([]float64, w*h),
-			uPrev: make([]float64, w*h),
-			uNext: make([]float64, w*h),
+			w: w, h: h, courant: courant,
+			u:     make([]float64, n),
+			uPrev: make([]float64, n),
 		}
 		// Gaussian pulse at the domain center, at rest (uPrev = u).
 		cx, cy := float64(gw)/2, float64(gh)/2
@@ -43,81 +44,44 @@ func NewWaveKernel(gw, gh int, courant float64) func(bx, by, x0, y0, w, h int) K
 				dx := float64(x0+x) + 0.5 - cx
 				dy := float64(y0+y) + 0.5 - cy
 				v := math.Exp(-(dx*dx + dy*dy) / (2 * sigma * sigma))
-				k.u[y*w+x] = v
-				k.uPrev[y*w+x] = v
+				k.u[ghostIdx(w, x, y)] = v
+				k.uPrev[ghostIdx(w, x, y)] = v
 			}
 		}
 		return k
 	}
 }
 
-func (k *WaveKernel) at(x, y int) float64 { return k.u[y*k.w+x] }
+func (k *WaveKernel) at(x, y int) float64 { return k.u[ghostIdx(k.w, x, y)] }
 
-func (k *WaveKernel) neighborValue(x, y int, edges map[int][]float64) float64 {
-	switch {
-	case y < 0:
-		if e, ok := edges[dirN]; ok {
-			return e[x]
-		}
-		return 0 // fixed boundary
-	case y >= k.h:
-		if e, ok := edges[dirS]; ok {
-			return e[x]
-		}
-		return 0
-	case x < 0:
-		if e, ok := edges[dirW]; ok {
-			return e[y]
-		}
-		return 0
-	case x >= k.w:
-		if e, ok := edges[dirE]; ok {
-			return e[y]
-		}
-		return 0
-	}
-	return k.at(x, y)
-}
-
-// Step implements Kernel.
-func (k *WaveKernel) Step(edges map[int][]float64) {
-	for y := 0; y < k.h; y++ {
-		for x := 0; x < k.w; x++ {
-			lap := k.neighborValue(x, y-1, edges) +
-				k.neighborValue(x, y+1, edges) +
-				k.neighborValue(x-1, y, edges) +
-				k.neighborValue(x+1, y, edges) -
-				4*k.at(x, y)
-			k.uNext[y*k.w+x] = 2*k.at(x, y) - k.uPrev[y*k.w+x] + k.courant*lap
+// Step implements Kernel. The sums keep the order N+S+W+E−4u and
+// 2u−uPrev+C·lap, so every value is bit-identical to a cell-by-cell
+// evaluation of the scheme.
+func (k *WaveKernel) Step(edges *[numDirs][]float64) {
+	w, s, c := k.w, k.w+2, k.courant
+	u := k.u
+	fillGhosts(u, w, k.h, edges, 0)
+	for row := s; row <= k.h*s; row += s {
+		out := k.uPrev[row+1 : row+1+w] // uPrev in, uNext out
+		north := u[row-s+1 : row-s+1+w][:len(out)]
+		south := u[row+s+1 : row+s+1+w][:len(out)]
+		west := u[row : row+w][:len(out)]
+		mid := u[row+1 : row+1+w][:len(out)]
+		east := u[row+2 : row+2+w][:len(out)]
+		for x := range out {
+			lap := north[x] + south[x] + west[x] + east[x] - 4*mid[x]
+			out[x] = 2*mid[x] - out[x] + c*lap
 		}
 	}
-	k.uPrev, k.u, k.uNext = k.u, k.uNext, k.uPrev
+	k.uPrev, k.u = k.u, k.uPrev
 }
 
-// Edge implements Kernel (returns a copy; see JacobiKernel.Edge).
-func (k *WaveKernel) Edge(d int) []float64 {
-	switch d {
-	case dirN:
-		return append([]float64(nil), k.u[:k.w]...)
-	case dirS:
-		return append([]float64(nil), k.u[(k.h-1)*k.w:]...)
-	case dirW:
-		e := make([]float64, k.h)
-		for y := 0; y < k.h; y++ {
-			e[y] = k.at(0, y)
-		}
-		return e
-	case dirE:
-		e := make([]float64, k.h)
-		for y := 0; y < k.h; y++ {
-			e[y] = k.at(k.w-1, y)
-		}
-		return e
-	}
-	panic("apps: bad edge direction")
+// AppendEdge implements Kernel.
+func (k *WaveKernel) AppendEdge(dst []float64, d int) []float64 {
+	return appendEdge(dst, k.u, k.w, k.h, d)
 }
 
-// Bytes implements Kernel (two live time levels).
+// Bytes implements Kernel: two live time levels of the unpadded block.
 func (k *WaveKernel) Bytes() int { return 16 * k.w * k.h }
 
 // Value returns u at block-local (x, y), for tests.
@@ -130,7 +94,7 @@ func (k *WaveKernel) Energy() float64 {
 	e := 0.0
 	for y := 0; y < k.h; y++ {
 		for x := 0; x < k.w; x++ {
-			v := k.at(x, y) - k.uPrev[y*k.w+x]
+			v := k.at(x, y) - k.uPrev[ghostIdx(k.w, x, y)]
 			e += v * v
 			if x+1 < k.w {
 				g := k.at(x+1, y) - k.at(x, y)

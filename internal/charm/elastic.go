@@ -219,8 +219,8 @@ func (r *RTS) evacuatePE(p *pe) {
 	}
 	// The queued deliveries all address chares that just left; route them
 	// to the new homes. Later messages find the updated location directly.
-	q := p.appQ
-	p.appQ = nil
+	q := p.appQ.live()
+	p.appQ = fifo[appDelivery]{}
 	for _, dlv := range q {
 		r.send(p.index, dlv.to, dlv.data, 64)
 	}

@@ -34,8 +34,8 @@ type pe struct {
 	// order, so the cache must never drift from the map.
 	roster []ChareID
 
-	appQ []appDelivery
-	sysQ []func()
+	appQ fifo[appDelivery]
+	sysQ fifo[func()]
 
 	running bool // an entry method (or pack/unpack burst) is in flight
 
@@ -197,11 +197,11 @@ func (p *pe) beginInterval() {
 }
 
 func (p *pe) enqueueApp(to ChareID, data interface{}) {
-	p.appQ = append(p.appQ, appDelivery{to: to, data: data})
+	p.appQ.push(appDelivery{to: to, data: data})
 }
 
 func (p *pe) enqueueSys(fn func()) {
-	p.sysQ = append(p.sysQ, fn)
+	p.sysQ.push(fn)
 	p.pump()
 }
 
@@ -215,32 +215,39 @@ func (p *pe) enqueueSys(fn func()) {
 // its post-sync ghost edges after Resume). Held messages keep their
 // relative order.
 func (p *pe) pump() {
-	for !p.running && len(p.sysQ) > 0 {
-		fn := p.sysQ[0]
-		p.sysQ = p.sysQ[1:]
-		fn()
+	for !p.running && p.sysQ.len() > 0 {
+		p.sysQ.take(0)()
 	}
-	if p.running || p.inSync || p.retired || len(p.appQ) == 0 {
+	if p.running || p.inSync || p.retired || p.appQ.len() == 0 {
 		p.rts.maybeQuiesce()
 		return
 	}
-	idx := -1
-	for i, d := range p.appQ {
-		if _, isResume := d.data.(Resume); isResume || !p.synced[d.to] {
-			idx = i
-			break
-		}
-	}
+	idx := p.nextRunnable()
 	if idx < 0 {
 		p.rts.maybeQuiesce()
 		return
 	}
-	d := p.appQ[idx]
-	p.appQ = append(p.appQ[:idx], p.appQ[idx+1:]...)
+	d := p.appQ.take(idx)
 	if _, isResume := d.data.(Resume); isResume {
 		delete(p.synced, d.to)
 	}
 	p.execute(d)
+}
+
+// nextRunnable returns the position in appQ of the first delivery that may
+// run now — a Resume, or a message for a chare that has not synced — or
+// -1 if every queued delivery is held. With no chare synced that is the
+// head, found without a scan.
+func (p *pe) nextRunnable() int {
+	if len(p.synced) == 0 {
+		return 0
+	}
+	for i, d := range p.appQ.live() {
+		if _, isResume := d.data.(Resume); isResume || !p.synced[d.to] {
+			return i
+		}
+	}
+	return -1
 }
 
 // execute runs one entry method: the handler computes eagerly, then the

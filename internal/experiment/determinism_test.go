@@ -233,3 +233,17 @@ func TestClassicScenarioSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("steady-state runtime stack: %.2f allocs per 10ms window, want 0", avg)
 	}
 }
+
+// TestStencilSteadyStateAllocFree is the allocation gate for the stencil
+// superstep: once the world is warm, one Wave2D iteration over all 32
+// chares — kernel steps, ghost-edge exchange out of the chares' edge
+// rings, message dispatch and thread scheduling — must not allocate.
+func TestStencilSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	w := NewSteadyIterBench()
+	if avg := testing.AllocsPerRun(50, w.StepOnce); avg != 0 {
+		t.Errorf("steady-state stencil superstep: %.2f allocs, want 0", avg)
+	}
+}

@@ -243,10 +243,18 @@ func (c *Core) onCompletion() {
 	// on other cores, re-entering add/remove safely. The survivors are
 	// compacted in place (order preserved) and the completed threads go
 	// into a scratch list reused across firings.
+	//
+	// A residue whose service time is below the clock's resolution at
+	// now (late in a long run, ulp(now) outgrows tiny bursts' rounding
+	// residue) counts as done too: arming for it would fire at this same
+	// instant, serve nothing, and re-arm forever.
+	now := c.eng.Now()
+	total := c.totalWeight()
 	done := c.doneScratch[:0]
 	keep := c.active[:0]
 	for _, th := range c.active {
-		if th.remaining <= th.demand*workEpsilon+1e-15 {
+		if th.remaining <= th.demand*workEpsilon+1e-15 ||
+			now+sim.Time(th.remaining/(c.speed*th.effWeight/total)) == now {
 			done = append(done, th)
 		} else {
 			keep = append(keep, th)

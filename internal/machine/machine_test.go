@@ -200,6 +200,24 @@ func TestZeroDemandCompletesAtCurrentInstant(t *testing.T) {
 	}
 }
 
+// A burst whose service time is below the clock's resolution at now
+// completes at now instead of re-arming for the same instant forever. At
+// t=1e6 one ulp is ~1.2e-10 s, so a 1e-12 s burst cannot move the clock
+// but is well above the completion slack.
+func TestSubResolutionBurstCompletes(t *testing.T) {
+	eng, m := newTestMachine(1, 1)
+	eng.SetEventLimit(100)
+	th := m.NewThread("a", m.Core(0), 1)
+	var done sim.Time = -1
+	eng.At(1e6, func() { th.Run(1e-12, func() { done = eng.Now() }) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if done != 1e6 {
+		t.Fatalf("sub-resolution burst done at %v, want 1e6", done)
+	}
+}
+
 func TestDoubleRunPanics(t *testing.T) {
 	_, m := newTestMachine(1, 1)
 	th := m.NewThread("a", m.Core(0), 1)
