@@ -54,25 +54,30 @@ benchjson:
 # Sharded-scheduler determinism gate, named so `make check` runs it even
 # when the cached `race` target is skipped: the same scenario at shards
 # {1,2,4,8} x GOMAXPROCS {1,4} under the race detector must produce an
-# identical Result, metric snapshot and trace hash, and both the classic
-# -shards 1 runtime path and the Wave2D stencil superstep must stay
-# allocation-free in steady state. The alloc gates run without -race
-# (instrumentation perturbs allocation counts); -count=1 defeats the test
-# cache so the gates always execute.
+# identical Result, metric snapshot and trace hash, the runtime's O(1)
+# AtSync counters must match the reference recount at shards 1 and 2,
+# and both the classic -shards 1 runtime path and the Wave2D stencil
+# superstep must stay allocation-free in steady state. The alloc gates
+# run without -race (instrumentation perturbs allocation counts);
+# -count=1 defeats the test cache so the gates always execute.
 determinism:
 	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestShardsAutoResolve' ./internal/experiment
+	$(GO) test -race -count=1 -run 'TestSlotCounterOracle' ./internal/charm
 	$(GO) test -count=1 -run 'TestClassicScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree' ./internal/experiment
 
 # Benchmark smoke: the perfbench module's own tests (it is a separate Go
-# module, so `go test ./...` at the root never sees it), then a short
-# untraced stencil-testbed run whose result line must report no failed
-# op — a failed op is an error or a result that drifted from
-# perfbench/reference.json.
+# module, so `go test ./...` at the root never sees it), then short
+# untraced stencil-testbed and cloud-churn-256 runs (the latter is the
+# only workload with drops, churn and DiffusionLB) whose result lines
+# must report no failed op — a failed op is an error or a result that
+# drifted from perfbench/reference.json.
 perfbench-smoke:
 	cd perfbench && $(GO) test .
-	@last=$$(bash perfbench/run.sh --workload stencil-testbed --seconds 3 --trace 0 | tail -n 1); \
-	echo "$$last" | grep -q '"failed":0' || { echo "perfbench-smoke: stencil-testbed failed ops: $$last"; exit 1; }; \
-	echo "perfbench-smoke: stencil-testbed OK"
+	@for w in stencil-testbed cloud-churn-256; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seconds 3 --trace 0 | tail -n 1); \
+		echo "$$last" | grep -q '"failed":0' || { echo "perfbench-smoke: $$w failed ops: $$last"; exit 1; }; \
+		echo "perfbench-smoke: $$w OK"; \
+	done
 
 # Metrics smoke: one small Wave2D scenario with the Prometheus export on
 # stderr, asserting the acceptance-critical series are present and

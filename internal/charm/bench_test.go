@@ -1,9 +1,11 @@
 package charm
 
 import (
+	"fmt"
 	"testing"
 
 	"cloudlb/internal/core"
+	"cloudlb/internal/lb"
 )
 
 // pingChare bounces a message between two chares b.N times, then both
@@ -101,4 +103,50 @@ func BenchmarkLBStepHierarchical(b *testing.B) {
 		lbWall = float64(r.LBWallTime())
 	}
 	b.ReportMetric(lbWall*1000, "lb_wall_ms")
+}
+
+// syncChare calls AtSync from every entry, so each LB step is one entry
+// per chare plus the protocol.
+type syncChare struct{}
+
+func (*syncChare) PackSize() int { return 256 }
+func (*syncChare) Recv(ctx *Ctx, data interface{}) float64 {
+	ctx.AtSync()
+	return 1e-4
+}
+
+// BenchmarkLBStepSync measures one full AtSync → plan → resume step per
+// op, 32 chares per PE, for the flat gather (RefineLB) and the
+// distributed protocol (DiffusionLB). The runtime's share grows linearly
+// in PEs: each readiness or stats arrival answers "all chares synced?"
+// from per-PE counters instead of walking every chare.
+func BenchmarkLBStepSync(b *testing.B) {
+	strategies := []struct {
+		name string
+		new  func() core.Strategy
+	}{
+		{"RefineLB", func() core.Strategy { return &core.RefineLB{EpsilonFrac: 0.02} }},
+		{"DiffusionLB", func() core.Strategy { return &lb.DiffusionLB{} }},
+	}
+	for _, st := range strategies {
+		for _, pes := range []int{64, 256} {
+			b.Run(fmt.Sprintf("%s/pes=%d", st.name, pes), func(b *testing.B) {
+				eng, m, n := testWorld(pes/8, 8)
+				r := NewRTS(Config{Machine: m, Net: n, Cores: allCores(m), Strategy: st.new()})
+				r.NewArray("w", 32*pes, func(int) Chare { return &syncChare{} })
+				r.Start()
+				stepTo := func(steps int) {
+					for r.LBSteps() < steps {
+						if !eng.Step() {
+							b.Fatal("engine drained")
+						}
+					}
+				}
+				// The first step grows every scratch buffer.
+				stepTo(1)
+				b.ResetTimer()
+				stepTo(1 + b.N)
+			})
+		}
+	}
 }

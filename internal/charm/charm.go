@@ -186,25 +186,39 @@ type RTS struct {
 	pes  []*pe
 	name string
 
-	arrays map[string]*arrayMeta
-	// location maps every chare to its current PE index. Migrations only
+	// Dense chare slots. Every chare owns one slot, assigned in NewArray
+	// as its array's base offset plus Index; ChareID stays the public
+	// identity, resolved to a slot once per send (slotOf) and carried as
+	// the slot from there on. arrays lists the chare arrays in creation
+	// order (a handful per runtime, so resolution is a linear scan) and
+	// ids maps each slot back to its ChareID.
+	arrays []arrayMeta
+	ids    []ChareID
+	// route is the PE every slot's messages are sent to. Migrations only
 	// happen while the whole runtime is quiesced inside an LB step, so a
 	// single table read at send time is equivalent to the per-PE tables
 	// of a real distributed location manager; the cost of propagating
-	// updates is still paid by the resume broadcast.
-	location map[ChareID]int
+	// updates is still paid by the resume broadcast. The route changes at
+	// plan time, before the object moves: it is read-mostly, and kept
+	// apart from the hot-written slots so no shard false-shares it.
+	route []int
+	// slots is the per-slot residence and load state (see chareSlot),
+	// written only by the shard of the PE hosting the chare.
+	slots []chareSlot
+	// comm holds the DiffusionLB planner's per-slot communication rows
+	// (nil unless the strategy plans distributedly).
+	comm []commRow
 
 	started bool
 	total   int // total chares
 	done    int
-	// doneChares marks chares that called Done; they no longer take part
-	// in AtSync accounting (they will never sync again) but remain
-	// migratable objects. Kept on the RTS, not the PE, so the mark
-	// survives migration and evacuation.
-	doneChares map[ChareID]bool
-	finished   bool
-	finishAt   sim.Time
-	onDone     func()
+	// Done chares (chareSlot.done) no longer take part in AtSync
+	// accounting (they will never sync again) but remain migratable
+	// objects; the mark lives in the slot, so it survives migration and
+	// evacuation.
+	finished bool
+	finishAt sim.Time
+	onDone   func()
 
 	lb lbState
 
@@ -247,9 +261,10 @@ type RTS struct {
 	msgFree []msgPool
 
 	// shardDone is the per-shard Done accounting under a sharded scheduler
-	// (nil otherwise): chares mark completion shard-locally mid-window and
-	// the coordinator's barrier hook consolidates the marks into
-	// doneChares/done, firing onDone with the exact virtual finish time.
+	// (nil otherwise): chares set their slot's done bit on the hosting
+	// shard mid-window and count the call shard-locally; the coordinator's
+	// barrier hook folds the counts into done, firing onDone with the
+	// exact virtual finish time.
 	shardDone []shardDoneState
 
 	// outsScratch/insScratch are the per-PE migration-order buffers
@@ -266,9 +281,23 @@ type RTS struct {
 	met rtsMetrics
 }
 
+// arrayMeta is one chare array: its elements own the dense slots
+// [base, base+size).
 type arrayMeta struct {
 	name string
+	base int
 	size int
+}
+
+// chareSlot is one chare's runtime state, indexed by its dense slot.
+// Residence (home, obj) changes on install and uninstall; the route
+// (RTS.route) changes at plan time. The two differ while a migrant is
+// packed or in flight, when home is -1 and obj still holds the object.
+type chareSlot struct {
+	obj  Chare
+	wall float64 // entry wall time this LB interval (load database)
+	home int32   // resident PE, -1 while packed or in flight
+	done bool    // the chare called Done
 }
 
 // inflightCount is one shard's in-flight message counter. The pad keeps
@@ -286,9 +315,8 @@ type msgPool struct {
 	_    [40]byte
 }
 
-// shardDoneState holds one shard's not-yet-consolidated Done marks.
+// shardDoneState holds one shard's not-yet-consolidated Done calls.
 type shardDoneState struct {
-	local  map[ChareID]bool
 	count  int
 	lastAt sim.Time
 }
@@ -320,13 +348,10 @@ func NewRTS(cfg Config) *RTS {
 		cfg.Name = "rts"
 	}
 	r := &RTS{
-		cfg:        cfg,
-		eng:        cfg.Machine.Engine(),
-		sh:         cfg.Machine.Shards(),
-		name:       cfg.Name,
-		arrays:     make(map[string]*arrayMeta),
-		location:   make(map[ChareID]int),
-		doneChares: make(map[ChareID]bool),
+		cfg:  cfg,
+		eng:  cfg.Machine.Engine(),
+		sh:   cfg.Machine.Shards(),
+		name: cfg.Name,
 	}
 	for i, c := range cfg.Cores {
 		r.pes = append(r.pes, newPE(r, i, cfg.Machine.Core(c)))
@@ -339,9 +364,6 @@ func NewRTS(cfg Config) *RTS {
 	r.netInflight = make([]inflightCount, shards)
 	if r.sh != nil {
 		r.shardDone = make([]shardDoneState, shards)
-		for i := range r.shardDone {
-			r.shardDone[i].local = make(map[ChareID]bool)
-		}
 		r.sh.OnBarrier(r.consolidate)
 	}
 	r.outsScratch = make([][]core.Move, len(r.pes))
@@ -382,13 +404,22 @@ func (r *RTS) NewArray(name string, n int, factory func(idx int) Chare) {
 	if r.started {
 		panic("charm: NewArray after Start")
 	}
-	if _, dup := r.arrays[name]; dup {
+	if r.array(name) != nil {
 		panic(fmt.Sprintf("charm: duplicate array %q", name))
 	}
 	if n <= 0 {
 		panic("charm: array size must be positive")
 	}
-	r.arrays[name] = &arrayMeta{name: name, size: n}
+	base := len(r.ids)
+	r.arrays = append(r.arrays, arrayMeta{name: name, base: base, size: n})
+	for i := 0; i < n; i++ {
+		r.ids = append(r.ids, ChareID{Array: name, Index: i})
+		r.slots = append(r.slots, chareSlot{home: -1})
+	}
+	r.route = slices.Grow(r.route, n)[:base+n]
+	if r.dist != nil {
+		r.comm = append(r.comm, make([]commRow, n)...)
+	}
 	p := len(r.pes)
 	var hashed []int
 	if r.cfg.Placement == PlaceHash {
@@ -404,17 +435,36 @@ func (r *RTS) NewArray(name string, n int, factory func(idx int) Chare) {
 		default:
 			peIdx = i * p / n
 		}
-		id := ChareID{Array: name, Index: i}
-		r.location[id] = peIdx
-		r.pes[peIdx].install(id, factory(i))
+		r.route[base+i] = peIdx
+		r.pes[peIdx].install(base+i, factory(i))
 	}
 	r.total += n
 }
 
+// array returns the named array's metadata, nil if there is none.
+func (r *RTS) array(name string) *arrayMeta {
+	for i := range r.arrays {
+		if r.arrays[i].name == name {
+			return &r.arrays[i]
+		}
+	}
+	return nil
+}
+
+// slotOf resolves a chare ID to its dense slot; ok is false for an
+// unknown array or an index outside it.
+func (r *RTS) slotOf(id ChareID) (slot int, ok bool) {
+	a := r.array(id.Array)
+	if a == nil || uint(id.Index) >= uint(a.size) {
+		return 0, false
+	}
+	return a.base + id.Index, true
+}
+
 // ArraySize returns the number of elements in an array.
 func (r *RTS) ArraySize(name string) int {
-	a, ok := r.arrays[name]
-	if !ok {
+	a := r.array(name)
+	if a == nil {
 		panic(fmt.Sprintf("charm: unknown array %q", name))
 	}
 	return a.size
@@ -430,8 +480,8 @@ func (r *RTS) Start() {
 	r.primeMemos()
 	for _, p := range r.pes {
 		p.beginInterval()
-		for _, id := range p.roster {
-			p.enqueueApp(id, Start{})
+		for _, s := range p.roster {
+			p.enqueueApp(s, Start{})
 		}
 		p.pump()
 	}
@@ -452,15 +502,15 @@ func (r *RTS) primeMemos() {
 	}
 	for _, p := range r.pes {
 		r.treeChildren(p.index)
-		for name := range r.arrays {
-			p.subtreeExpected(name)
+		for _, a := range r.arrays {
+			p.subtreeExpected(a.name)
 		}
 		p.subtreeChareTotal()
 	}
 }
 
 // consolidate runs on the shard coordinator at every window barrier,
-// merging each shard's Done marks into the global table. The finish time
+// folding each shard's Done calls into the global count. The finish time
 // is exact despite the deferred bookkeeping: Done timestamps only grow
 // within and across barriers, so the maximum over the final batch is the
 // virtual time of the very last Done call — the same instant the
@@ -474,10 +524,6 @@ func (r *RTS) consolidate() {
 			continue
 		}
 		pending = true
-		for id := range sd.local {
-			r.doneChares[id] = true
-		}
-		clear(sd.local)
 		r.done += sd.count
 		sd.count = 0
 		if sd.lastAt > last {
@@ -493,18 +539,24 @@ func (r *RTS) consolidate() {
 	}
 }
 
-// Location reports the PE index currently hosting a chare.
+// Location reports the PE a chare's messages are routed to: its host, or
+// its destination from the moment an LB step plans its move.
 func (r *RTS) Location(id ChareID) int {
-	pe, ok := r.location[id]
+	s, ok := r.slotOf(id)
 	if !ok {
 		panic(fmt.Sprintf("charm: unknown chare %v", id))
 	}
-	return pe
+	return r.route[s]
 }
 
-// Chare returns the live object for a chare ID (for tests and probes).
+// Chare returns the live object for a chare ID (for tests and probes),
+// also while it is packed or in flight between PEs.
 func (r *RTS) Chare(id ChareID) Chare {
-	return r.pes[r.Location(id)].local[id]
+	s, ok := r.slotOf(id)
+	if !ok {
+		panic(fmt.Sprintf("charm: unknown chare %v", id))
+	}
+	return r.slots[s].obj
 }
 
 // Finished reports whether every chare has called Done.
@@ -534,17 +586,24 @@ func (r *RTS) LBWallTime() sim.Time {
 	return r.lbWall / sim.Time(len(r.pes))
 }
 
-func (r *RTS) chareDone(p *pe, id ChareID) {
+// chareDone records a Done call by the chare in slot s, which the calling
+// PE hosts. The first call sets the slot's done bit and takes the chare out
+// of the PE's active count — not its synced count: a chare only runs while
+// it is not synced here, and afterEntry applies Done before AtSync. Under
+// a sharded scheduler only the hosting shard writes either, and the call
+// itself is counted shard-locally for the barrier hook to consolidate
+// (writing the global count from a window would race other shards).
+func (r *RTS) chareDone(p *pe, s int) {
+	if sl := &r.slots[s]; !sl.done {
+		sl.done = true
+		p.active--
+	}
 	if r.shardDone != nil {
-		// Sharded: record locally and let the barrier hook consolidate.
-		// Writing the global table from a window would race other shards.
 		sd := &r.shardDone[p.shard]
-		sd.local[id] = true
 		sd.count++
 		sd.lastAt = p.eng.Now()
 		return
 	}
-	r.doneChares[id] = true
 	r.done++
 	if r.done == r.total && !r.finished {
 		r.finished = true
@@ -555,26 +614,15 @@ func (r *RTS) chareDone(p *pe, id ChareID) {
 	}
 }
 
-// isDone reports whether a chare has called Done, combining the
-// consolidated marks with the asking PE's own shard-local ones. PEs only
-// ever ask about chares they host, and a hosted chare's Done ran either
-// before the last barrier (consolidated) or on this same shard, so the
-// answer never depends on another shard's in-window state.
-func (r *RTS) isDone(p *pe, id ChareID) bool {
-	if r.doneChares[id] {
-		return true
-	}
-	return r.shardDone != nil && r.shardDone[p.shard].local[id]
-}
-
 // appMsg is a pooled application message envelope. Each envelope owns a
 // delivery closure bound once at creation (fn), so the per-message send
 // path — the hottest path in the runtime — schedules its network hop and
 // engine event with zero allocations: the envelope comes off the RTS free
-// list, mirroring the engine's event free list one layer down.
+// list, mirroring the engine's event free list one layer down. The
+// destination travels as its resolved slot.
 type appMsg struct {
 	rts   *RTS
-	to    ChareID
+	to    int
 	data  interface{}
 	bytes int
 	dstPE int
@@ -607,10 +655,10 @@ func (m *appMsg) deliver() {
 	m.data = nil
 	pool := &r.msgFree[dst.shard].free
 	*pool = append(*pool, m)
-	// Re-check location at delivery: the chare may have migrated
+	// Re-check the route at delivery: the chare may have migrated
 	// while the message was in flight (only possible for messages
 	// crossing an LB step); forward if so, as Charm++ does.
-	if cur := r.location[to]; cur != dstPE {
+	if r.route[to] != dstPE {
 		r.send(dstPE, to, data, bytes)
 		return
 	}
@@ -618,16 +666,22 @@ func (m *appMsg) deliver() {
 	dst.pump()
 }
 
-// send routes a message between chares, via the interconnect when the
-// destination lives on another PE, or via the intra-node path for local
-// delivery (a real RTS enqueues locally; the intra-node latency stands in
-// for that queueing cost). It runs in the sending PE's shard context and
-// touches only that shard's pool and in-flight slot.
-func (r *RTS) send(fromPE int, to ChareID, data interface{}, bytes int) {
-	dstPE, ok := r.location[to]
+// mustSlot resolves a send destination, panicking on an unknown chare.
+func (r *RTS) mustSlot(to ChareID) int {
+	s, ok := r.slotOf(to)
 	if !ok {
 		panic(fmt.Sprintf("charm: send to unknown chare %v", to))
 	}
+	return s
+}
+
+// send routes a message to the chare in slot to, via the interconnect
+// when the destination lives on another PE, or via the intra-node path for
+// local delivery (a real RTS enqueues locally; the intra-node latency
+// stands in for that queueing cost). It runs in the sending PE's shard
+// context and touches only that shard's pool and in-flight slot.
+func (r *RTS) send(fromPE, to int, data interface{}, bytes int) {
+	dstPE := r.route[to]
 	src := r.pes[fromPE]
 	m := r.newAppMsg(src.shard)
 	m.to, m.data, m.bytes, m.dstPE = to, data, bytes, dstPE

@@ -538,7 +538,7 @@ func TestUnknownChareSendPanics(t *testing.T) {
 			t.Fatal("send to unknown chare did not panic")
 		}
 	}()
-	r.send(0, ChareID{Array: "ghost", Index: 0}, tick{}, 8)
+	r.send(0, r.mustSlot(ChareID{Array: "ghost", Index: 0}), tick{}, 8)
 }
 
 func TestRTSOnSubsetOfCores(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 type Ctx struct {
 	rts  *RTS
 	pe   *pe
-	self ChareID
+	self int // slot
 
 	sends    []outMsg
 	contribs []contribution
@@ -20,7 +20,7 @@ type Ctx struct {
 }
 
 type outMsg struct {
-	to    ChareID
+	to    int // resolved slot
 	data  interface{}
 	bytes int
 }
@@ -30,7 +30,7 @@ type outMsg struct {
 func (c *Ctx) Now() sim.Time { return c.pe.eng.Now() }
 
 // Self returns the executing chare's ID.
-func (c *Ctx) Self() ChareID { return c.self }
+func (c *Ctx) Self() ChareID { return c.rts.ids[c.self] }
 
 // PE returns the index of the PE executing this entry.
 func (c *Ctx) PE() int { return c.pe.index }
@@ -42,12 +42,13 @@ func (c *Ctx) NumPEs() int { return len(c.rts.pes) }
 func (c *Ctx) ArraySize(name string) int { return c.rts.ArraySize(name) }
 
 // Send queues a message of the given payload size to another chare. It is
-// transmitted when this entry method completes.
+// transmitted when this entry method completes. An unknown destination
+// panics here, in the sending entry.
 func (c *Ctx) Send(to ChareID, data interface{}, bytes int) {
 	if bytes < 0 {
 		panic("charm: negative message size")
 	}
-	c.sends = append(c.sends, outMsg{to: to, data: data, bytes: bytes})
+	c.sends = append(c.sends, outMsg{to: c.rts.mustSlot(to), data: data, bytes: bytes})
 }
 
 // Broadcast queues a message of the given per-destination payload size to

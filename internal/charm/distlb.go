@@ -61,10 +61,10 @@ type diffState struct {
 	annQ  [][][]core.TransferTask
 	termQ [][]core.TermSample
 
-	// comm accumulates each local chare's bytes sent to every neighbor
-	// PE over the LB interval — the planner's communication-affinity
-	// input. Reset every interval.
-	comm map[ChareID][]float64
+	// epoch numbers this PE's LB intervals (diffReset advances it); a
+	// communication row (RTS.comm) is live for this PE only while it
+	// carries this PE's index and current epoch.
+	epoch uint32
 
 	// Scratch reused across steps/rounds.
 	taskScratch  []core.TransferTask
@@ -105,9 +105,9 @@ func (p *pe) distEnterSync() {
 	}
 	d.taskScratch = d.taskScratch[:0]
 	d.affScratch = d.affScratch[:0]
-	for _, tk := range st.tasks {
+	for i, tk := range st.tasks {
 		d.taskScratch = append(d.taskScratch, core.TransferTask{ID: tk.ID, Load: tk.Load, Bytes: tk.Bytes})
-		d.affScratch = append(d.affScratch, d.comm[tk.ID])
+		d.affScratch = append(d.affScratch, p.commRow(p.roster[i]))
 	}
 	d.planner = r.dist.NewPlanner(core.LocalPE{
 		PE: p.index, Background: st.bg, Speed: st.speed, Offline: st.offline,
@@ -142,11 +142,7 @@ func (r *RTS) distMasterReady(peIdx int, load, bg float64) {
 	}
 	if !d.probed && d.readyCount == r.nonEmptyPEs() {
 		d.probed = true
-		for _, p := range r.pes {
-			if active, _ := p.activeSync(); active == 0 && !p.sentStats {
-				r.probeEmpty(p)
-			}
-		}
+		r.probeEmptyPEs()
 	}
 }
 
@@ -271,14 +267,15 @@ func (p *pe) diffSendTransfers(transfers []core.Transfer) {
 	p.shipScratch = p.shipScratch[:0]
 	for slot, ni := range nbr {
 		for _, tk := range byslot[slot] {
-			if _, ok := p.local[tk.ID]; !ok {
+			s, ok := r.slotOf(tk.ID)
+			if !ok || !p.hosts(s) {
 				panic(fmt.Sprintf("charm: PE %d planned to move absent chare %v", p.index, tk.ID))
 			}
-			obj := p.uninstall(tk.ID)
+			obj := p.uninstall(s)
 			b := obj.PackSize()
 			packCPU += float64(b) * r.cfg.PackCPUPerByte
-			p.shipScratch = append(p.shipScratch, shipment{id: tk.ID, obj: obj, bytes: b, to: ni})
-			r.location[tk.ID] = ni
+			p.shipScratch = append(p.shipScratch, shipment{slot: s, obj: obj, bytes: b, to: ni})
+			r.route[s] = ni
 			r.migrations++
 			r.distInstr.moveApplied(tk.Load, p.index, ni)
 		}
@@ -293,7 +290,7 @@ func (p *pe) diffSendTransfers(transfers []core.Transfer) {
 			s := s
 			dst := r.pes[s.to]
 			r.netSend(p.core.ID, dst.core.ID, s.bytes+migrateHeader, func() {
-				dst.enqueueSys(func() { dst.diffReceiveMigrant(s.id, s.obj, s.bytes) })
+				dst.enqueueSys(func() { dst.diffReceiveMigrant(s.slot, s.obj, s.bytes) })
 			})
 		}
 		d.shipped = true
@@ -339,12 +336,12 @@ func (p *pe) diffMaybeApply() {
 
 // diffReceiveMigrant installs one inbound object (unpack burst), exactly
 // like receiveMigrant but counting toward the round, not the flat step.
-func (p *pe) diffReceiveMigrant(id ChareID, obj Chare, bytes int) {
+func (p *pe) diffReceiveMigrant(s int, obj Chare, bytes int) {
 	p.runBurst(float64(bytes)*p.rts.cfg.PackCPUPerByte, func() {
-		p.install(id, obj)
+		p.install(s, obj)
 		// The migrant synced on its source PE; the uniform resume rule
 		// (Resume goes exactly to synced chares) applies here too.
-		p.synced[id] = true
+		p.markSynced(s)
 		p.diff.gotObjs++
 		p.diffMaybeFinishRound()
 	})
@@ -409,13 +406,34 @@ func (r *RTS) distFinish() {
 	r.pes[0].diffCast(r.distLB.rounds, true)
 }
 
+// commRow is one chare's bytes sent to every neighbor PE over the LB
+// interval — the planner's communication-affinity input — indexed by the
+// neighbor's position in the owning PE's list. The row belongs to the PE
+// that accumulated it, in that PE's current interval (pe, epoch); any
+// other PE, or a later interval, starts it afresh. The backing array is
+// reused across intervals.
+type commRow struct {
+	bytes []float64
+	pe    int
+	epoch uint32
+}
+
+// commRow returns the live communication row this PE accumulated for the
+// chare in slot s this interval, nil if it has none.
+func (p *pe) commRow(s int) []float64 {
+	if row := &p.rts.comm[s]; row.pe == p.index && row.epoch == p.diff.epoch {
+		return row.bytes
+	}
+	return nil
+}
+
 // diffTrackComm accumulates one outgoing application message into the
-// sender chare's per-neighbor communication row — the planner's
-// affinity input. Only inter-PE traffic to topology neighbors counts;
-// everything else cannot influence a diffusion hand-off anyway.
-func (p *pe) diffTrackComm(self, to ChareID, bytes int) {
-	dst, ok := p.rts.location[to]
-	if !ok || dst == p.index {
+// sender chare's per-neighbor communication row. Only inter-PE traffic to
+// topology neighbors counts; everything else cannot influence a diffusion
+// hand-off anyway.
+func (p *pe) diffTrackComm(self, to, bytes int) {
+	dst := p.rts.route[to]
+	if dst == p.index {
 		return
 	}
 	nbr := p.rts.distNbr[p.index]
@@ -423,16 +441,17 @@ func (p *pe) diffTrackComm(self, to ChareID, bytes int) {
 	if slot < 0 {
 		return
 	}
-	d := &p.diff
-	if d.comm == nil {
-		d.comm = make(map[ChareID][]float64)
+	row := &p.rts.comm[self]
+	if row.pe != p.index || row.epoch != p.diff.epoch {
+		if cap(row.bytes) < len(nbr) {
+			row.bytes = make([]float64, len(nbr))
+		} else {
+			row.bytes = row.bytes[:len(nbr)]
+			clear(row.bytes)
+		}
+		row.pe, row.epoch = p.index, p.diff.epoch
 	}
-	row := d.comm[self]
-	if row == nil {
-		row = make([]float64, len(nbr))
-		d.comm[self] = row
-	}
-	row[slot] += float64(bytes)
+	row.bytes[slot] += float64(bytes)
 }
 
 // diffReset clears the per-interval protocol state; beginInterval calls
@@ -455,7 +474,9 @@ func (p *pe) diffReset() {
 	for i := range d.termQ {
 		d.termQ[i] = d.termQ[i][:0]
 	}
-	clear(d.comm)
+	// Retire this interval's communication rows wholesale; each is zeroed
+	// in place when its chare next sends.
+	d.epoch++
 }
 
 // syncReport is the probe/evacuation entry into the sync protocol,

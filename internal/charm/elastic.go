@@ -199,22 +199,22 @@ func (r *RTS) evacuatePE(p *pe) {
 	pending := make(map[int]int)
 	// The roster is already in (Array, Index) order; draining from the
 	// front via uninstall preserves exactly the sorted evacuation order.
+	// The chare's wall (its load-database record) stays in its slot and
+	// travels with it.
 	for len(p.roster) > 0 {
-		id := p.roster[0]
-		obj := p.uninstall(id)
-		wall := p.taskWall[id]
-		delete(p.taskWall, id)
-		wasSynced := p.synced[id]
-		delete(p.synced, id)
+		s := p.roster[0]
+		wasSynced := p.synced[s]
+		obj := p.uninstall(s)
+		p.unmarkSynced(s)
 		dst := r.pickEvacDest(p.index, pending)
 		pending[dst]++
-		r.location[id] = dst
+		r.route[s] = dst
 		r.evacuations++
 		r.met.evacuations.Inc()
 		d := r.pes[dst]
 		bytes := obj.PackSize()
 		r.netSend(p.core.ID, d.core.ID, bytes+migrateHeader, func() {
-			d.enqueueSys(func() { d.receiveEvacuee(id, obj, bytes, wall, wasSynced) })
+			d.enqueueSys(func() { d.receiveEvacuee(s, obj, bytes, wasSynced) })
 		})
 	}
 	// The queued deliveries all address chares that just left; route them
@@ -242,7 +242,7 @@ func (r *RTS) pickEvacDest(srcIdx int, pending map[int]int) int {
 		if i == srcIdx || q.retired {
 			continue
 		}
-		n := len(q.local) + pending[i]
+		n := len(q.roster) + pending[i]
 		if best < 0 || n < bestN {
 			best, bestN = i, n
 		}
@@ -254,31 +254,31 @@ func (r *RTS) pickEvacDest(srcIdx int, pending map[int]int) int {
 }
 
 // receiveEvacuee installs an emergency-evacuated chare: unpack burst, then
-// adopt the chare together with its load-database record and sync state.
+// adopt the chare together with its sync state (its load-database record
+// rides in its slot).
 // Unlike receiveMigrant it touches no LB-step counters — evacuation is not
 // part of any step. If this PE was itself revoked while the evacuee was in
 // flight, the object is bounced to another live PE.
-func (p *pe) receiveEvacuee(id ChareID, obj Chare, bytes int, wall float64, wasSynced bool) {
+func (p *pe) receiveEvacuee(s int, obj Chare, bytes int, wasSynced bool) {
 	r := p.rts
 	if p.retired {
 		pending := make(map[int]int)
 		dst := r.pickEvacDest(p.index, pending)
-		r.location[id] = dst
+		r.route[s] = dst
 		d := r.pes[dst]
 		r.netSend(p.core.ID, d.core.ID, bytes+migrateHeader, func() {
-			d.enqueueSys(func() { d.receiveEvacuee(id, obj, bytes, wall, wasSynced) })
+			d.enqueueSys(func() { d.receiveEvacuee(s, obj, bytes, wasSynced) })
 		})
 		return
 	}
 	p.runBurst(float64(bytes)*r.cfg.PackCPUPerByte, func() {
-		p.install(id, obj)
-		p.taskWall[id] += wall
+		p.install(s, obj)
 		if wasSynced {
 			// The chare is past its sync point; hold its messages until
 			// Resume, and complete this PE's sync if it was the last one.
-			p.synced[id] = true
+			p.markSynced(s)
 			if r.cfg.Strategy != nil {
-				p.maybeEnterSync(id)
+				p.maybeEnterSync(s)
 			}
 		}
 	})

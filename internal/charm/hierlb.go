@@ -71,7 +71,7 @@ func (p *pe) subtreeChareTotal() int {
 	if p.subtreeTotalMemo >= 0 {
 		return p.subtreeTotalMemo
 	}
-	n := len(p.local)
+	n := len(p.roster)
 	for _, c := range p.rts.treeChildren(p.index) {
 		n += p.rts.pes[c].subtreeChareTotal()
 	}
@@ -129,7 +129,7 @@ func (p *pe) hierOnChildStats(child int, reports []peStats) {
 	p.hierActivate()
 	// A PE without local chares measures itself once it learns the sync
 	// epoch exists; one with chares waits for its local sync.
-	if !p.hier.ownMeasured && len(p.local) == 0 {
+	if !p.hier.ownMeasured && len(p.roster) == 0 {
 		if !p.inSync {
 			p.markInSync()
 		}

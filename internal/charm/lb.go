@@ -65,7 +65,7 @@ type peStats struct {
 // manifest itself lives in per-PE scratch (pe.shipScratch) reused across
 // LB steps.
 type shipment struct {
-	id    ChareID
+	slot  int
 	obj   Chare
 	bytes int
 	to    int
@@ -73,7 +73,7 @@ type shipment struct {
 
 // maybeEnterSync fires when a chare syncs: once every local chare has, the
 // PE measures and reports.
-func (p *pe) maybeEnterSync(self ChareID) {
+func (p *pe) maybeEnterSync(self int) {
 	if p.rts.cfg.Strategy == nil {
 		// noLB short-circuit: resume just this chare immediately. The
 		// chare stays marked synced until the Resume is delivered, so
@@ -90,8 +90,7 @@ func (p *pe) maybeEnterSync(self ChareID) {
 	// Chares that called Done will never sync again; only the remaining
 	// active ones have to agree. (Without faults the chares run in
 	// lockstep and this is the plain all-local-chares-synced condition.)
-	active, syncedActive := p.activeSync()
-	if active == 0 || syncedActive != active {
+	if p.active == 0 || p.syncedActive != p.active {
 		return
 	}
 	if p.rts.cfg.HierarchicalLB {
@@ -124,11 +123,12 @@ func (p *pe) measureStats() peStats {
 	// task records are built into a per-PE scratch reused across steps
 	// (the master copies them into its gather before the next step).
 	p.tasksScratch = p.tasksScratch[:0]
-	for _, id := range p.roster {
-		w := p.taskWall[id]
-		sumTasks += w
+	r := p.rts
+	for _, s := range p.roster {
+		sl := &r.slots[s]
+		sumTasks += sl.wall
 		p.tasksScratch = append(p.tasksScratch, core.Task{
-			ID: id, PE: p.index, Load: w, Bytes: p.local[id].PackSize(),
+			ID: r.ids[s], PE: p.index, Load: sl.wall, Bytes: sl.obj.PackSize(),
 		})
 	}
 	st.tasks = p.tasksScratch
@@ -141,7 +141,7 @@ func (p *pe) measureStats() peStats {
 	st.bg = bg
 	st.offline = p.retired
 	p.sentStats = true
-	p.rts.met.measured(p.index, sumTasks, bg)
+	r.met.measured(p.index, sumTasks, bg)
 	return st
 }
 
@@ -183,27 +183,8 @@ func (r *RTS) masterStats(st peStats) {
 	}
 	if !lb.probed && lb.statsCount == r.nonEmptyPEs() {
 		lb.probed = true
-		for _, p := range r.pes {
-			if active, _ := p.activeSync(); active == 0 && !p.sentStats {
-				r.probeEmpty(p)
-			}
-		}
+		r.probeEmptyPEs()
 	}
-}
-
-// activeSync counts this PE's chares still participating in AtSync (not
-// Done) and how many of those have synced.
-func (p *pe) activeSync() (active, syncedActive int) {
-	for id := range p.local {
-		if p.rts.isDone(p, id) {
-			continue
-		}
-		active++
-		if p.synced[id] {
-			syncedActive++
-		}
-	}
-	return active, syncedActive
 }
 
 // nonEmptyPEs counts PEs that can still observe a sync point themselves —
@@ -211,11 +192,21 @@ func (p *pe) activeSync() (active, syncedActive int) {
 func (r *RTS) nonEmptyPEs() int {
 	n := 0
 	for _, p := range r.pes {
-		if active, _ := p.activeSync(); active > 0 {
+		if p.active > 0 {
 			n++
 		}
 	}
 	return n
+}
+
+// probeEmptyPEs probes every PE without active chares that has not
+// reported yet.
+func (r *RTS) probeEmptyPEs() {
+	for _, p := range r.pes {
+		if p.active == 0 && !p.sentStats {
+			r.probeEmpty(p)
+		}
+	}
 }
 
 func (r *RTS) probeEmpty(p *pe) {
@@ -266,10 +257,11 @@ func (r *RTS) planMoves(stats *core.Stats, wallSince sim.Time) (outs [][]core.Mo
 		ins[i] = 0
 	}
 	for _, m := range moves {
-		from, ok := r.location[m.Task]
+		s, ok := r.slotOf(m.Task)
 		if !ok {
 			panic(fmt.Sprintf("charm: strategy moved unknown task %v", m.Task))
 		}
+		from := r.route[s]
 		if m.To < 0 || m.To >= len(r.pes) {
 			panic(fmt.Sprintf("charm: strategy moved %v to invalid PE %d", m.Task, m.To))
 		}
@@ -284,7 +276,7 @@ func (r *RTS) planMoves(stats *core.Stats, wallSince sim.Time) (outs [][]core.Mo
 		}
 		outs[from] = append(outs[from], m)
 		ins[m.To]++
-		r.location[m.Task] = m.To
+		r.route[s] = m.To
 		r.migrations++
 		instr.moveApplied(m.Task, from, m.To)
 	}
@@ -322,20 +314,21 @@ func (p *pe) onOrder(order []core.Move, expect int) {
 	packCPU := 0.0
 	p.shipScratch = p.shipScratch[:0]
 	for _, m := range order {
-		if _, ok := p.local[m.Task]; !ok {
+		s, ok := p.rts.slotOf(m.Task)
+		if !ok || !p.hosts(s) {
 			panic(fmt.Sprintf("charm: PE %d ordered to move absent chare %v", p.index, m.Task))
 		}
-		obj := p.uninstall(m.Task)
+		obj := p.uninstall(s)
 		b := obj.PackSize()
 		packCPU += float64(b) * p.rts.cfg.PackCPUPerByte
-		p.shipScratch = append(p.shipScratch, shipment{id: m.Task, obj: obj, bytes: b, to: m.To})
+		p.shipScratch = append(p.shipScratch, shipment{slot: s, obj: obj, bytes: b, to: m.To})
 	}
 	p.runBurst(packCPU, func() {
 		for _, s := range p.shipScratch {
 			s := s
 			dst := p.rts.pes[s.to]
 			p.rts.netSend(p.core.ID, dst.core.ID, s.bytes+migrateHeader, func() {
-				dst.enqueueSys(func() { dst.receiveMigrant(s.id, s.obj, s.bytes) })
+				dst.enqueueSys(func() { dst.receiveMigrant(s.slot, s.obj, s.bytes) })
 			})
 		}
 		p.maybeSyncDone()
@@ -343,13 +336,13 @@ func (p *pe) onOrder(order []core.Move, expect int) {
 }
 
 // receiveMigrant deserializes an inbound object (CPU burst) and installs it.
-func (p *pe) receiveMigrant(id ChareID, obj Chare, bytes int) {
+func (p *pe) receiveMigrant(s int, obj Chare, bytes int) {
 	p.runBurst(float64(bytes)*p.rts.cfg.PackCPUPerByte, func() {
-		p.install(id, obj)
+		p.install(s, obj)
 		// A migrant synced on its source PE — it would not have moved
 		// otherwise. Marking it here keeps the resume rule uniform:
 		// Resume goes exactly to the synced chares.
-		p.synced[id] = true
+		p.markSynced(s)
 		p.arrivedIn++
 		p.maybeSyncDone()
 	})
@@ -412,14 +405,14 @@ func (p *pe) onResume() {
 	// pending messages drive it on. The recipients are collected in roster
 	// order before beginInterval clears the synced set in place.
 	p.resumeScratch = p.resumeScratch[:0]
-	for _, id := range p.roster {
-		if p.synced[id] {
-			p.resumeScratch = append(p.resumeScratch, id)
+	for _, s := range p.roster {
+		if p.synced[s] {
+			p.resumeScratch = append(p.resumeScratch, s)
 		}
 	}
 	p.beginInterval()
-	for _, id := range p.resumeScratch {
-		p.enqueueApp(id, Resume{})
+	for _, s := range p.resumeScratch {
+		p.enqueueApp(s, Resume{})
 	}
 	// The last PE to resume applies any revocation/restore that arrived
 	// mid-step, before application work restarts.

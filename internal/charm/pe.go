@@ -25,14 +25,12 @@ type pe struct {
 	shard  int
 	thread *machine.Thread
 
-	local map[ChareID]Chare
-	// roster caches p.local's keys in (Array, Index) order, maintained
-	// incrementally on install/uninstall. Every deterministic iteration
-	// over a PE's chares (Start, stats gather, resume, evacuation,
-	// reduction delivery) walks this slice instead of rebuilding and
-	// sorting the key set — the committed figures depend on exactly this
-	// order, so the cache must never drift from the map.
-	roster []ChareID
+	// roster lists the slots of the chares resident here in (Array,
+	// Index) order, maintained incrementally on install/uninstall. Every
+	// deterministic iteration over a PE's chares (Start, stats gather,
+	// resume, evacuation, reduction delivery) walks this slice — the
+	// committed figures depend on exactly this order.
+	roster []int
 
 	appQ fifo[appDelivery]
 	sysQ fifo[func()]
@@ -42,7 +40,7 @@ type pe struct {
 	// In-flight entry state, valid while running. Kept on the PE (entries
 	// are strictly sequential per PE) so completion needs no per-entry
 	// closure; entryDone is the method value bound once at construction.
-	curTo     ChareID
+	curTo     int // slot
 	curStart  sim.Time
 	ctx       Ctx
 	entryDone func()
@@ -53,27 +51,34 @@ type pe struct {
 	wentOffline bool
 	offlineAt   sim.Time
 
-	// Load database for the current LB interval.
-	taskWall   map[ChareID]float64
+	// Load database for the current LB interval (the per-task wall times
+	// live in the hosted chares' slots).
 	intervalAt sim.Time // start of the interval (last resume)
 	idleAtLB   sim.Time // core idle reading at interval start
 
-	// AtSync state.
-	synced    map[ChareID]bool
-	inSync    bool
-	syncAt    sim.Time
-	orderSeen bool
-	expectIn  int
-	arrivedIn int
-	sentStats bool
-	doneSent  bool
+	// AtSync state. synced holds the slots that called AtSync here this
+	// interval (or arrived as synced migrants); a departed migrant's entry
+	// stays until beginInterval. active counts the hosted chares not Done
+	// and syncedActive those of them in synced — maintained at every
+	// mutation (install, uninstall, Done, markSynced, unmarkSynced,
+	// beginInterval) so the all-synced test is O(1).
+	synced       map[int]bool
+	active       int
+	syncedActive int
+	inSync       bool
+	syncAt       sim.Time
+	orderSeen    bool
+	expectIn     int
+	arrivedIn    int
+	sentStats    bool
+	doneSent     bool
 
 	// Per-step scratch, reused across LB steps so the steady state
 	// allocates nothing: the measured task records shipped to the master,
 	// the outbound shipment manifest, and the resume recipient list.
 	tasksScratch  []core.Task
 	shipScratch   []shipment
-	resumeScratch []ChareID
+	resumeScratch []int
 
 	// PE-local reduction accumulators and subtree-size memos (valid
 	// between LB steps; placements only change inside them).
@@ -90,20 +95,18 @@ type pe struct {
 }
 
 type appDelivery struct {
-	to   ChareID
+	to   int // slot
 	data interface{}
 }
 
 func newPE(r *RTS, index int, c *machine.Core) *pe {
 	p := &pe{
-		rts:      r,
-		index:    index,
-		core:     c,
-		eng:      r.cfg.Machine.EngineFor(c.ID),
-		shard:    r.cfg.Machine.ShardOf(c.ID),
-		local:    make(map[ChareID]Chare),
-		taskWall: make(map[ChareID]float64),
-		synced:   make(map[ChareID]bool),
+		rts:    r,
+		index:  index,
+		core:   c,
+		eng:    r.cfg.Machine.EngineFor(c.ID),
+		shard:  r.cfg.Machine.ShardOf(c.ID),
+		synced: make(map[int]bool),
 	}
 	p.thread = r.cfg.Machine.NewThread(fmt.Sprintf("%s/pe%d", r.name, index), c, r.cfg.ThreadWeight)
 	p.entryDone = p.onEntryDone
@@ -112,37 +115,86 @@ func newPE(r *RTS, index int, c *machine.Core) *pe {
 	return p
 }
 
-func (p *pe) install(id ChareID, c Chare) {
-	if _, dup := p.local[id]; dup {
-		panic(fmt.Sprintf("charm: chare %v already on PE %d", id, p.index))
+func (p *pe) install(s int, c Chare) {
+	r := p.rts
+	sl := &r.slots[s]
+	if sl.home >= 0 {
+		panic(fmt.Sprintf("charm: chare %v already on PE %d", r.ids[s], sl.home))
 	}
-	p.local[id] = c
-	at, _ := slices.BinarySearchFunc(p.roster, id, ChareID.Compare)
-	p.roster = slices.Insert(p.roster, at, id)
+	sl.obj, sl.home = c, int32(p.index)
+	at, _ := slices.BinarySearchFunc(p.roster, s, r.rosterCmp)
+	p.roster = slices.Insert(p.roster, at, s)
+	if !sl.done {
+		p.active++
+		if p.synced[s] {
+			p.syncedActive++
+		}
+	}
 }
 
-// uninstall removes a chare from the PE's map and roster, returning the
-// object. It panics if the chare is not here — callers own that check when
-// they want a more specific message.
-func (p *pe) uninstall(id ChareID) Chare {
-	obj, ok := p.local[id]
-	if !ok {
-		panic(fmt.Sprintf("charm: chare %v not on PE %d", id, p.index))
+// uninstall removes a chare from the PE's roster, returning the object
+// (which the slot keeps, so RTS.Chare finds it in flight). It panics if
+// the chare is not here — callers own that check when they want a more
+// specific message.
+func (p *pe) uninstall(s int) Chare {
+	r := p.rts
+	sl := &r.slots[s]
+	if int(sl.home) != p.index {
+		panic(fmt.Sprintf("charm: chare %v not on PE %d", r.ids[s], p.index))
 	}
-	delete(p.local, id)
-	at, found := slices.BinarySearchFunc(p.roster, id, ChareID.Compare)
+	sl.home = -1
+	at, found := slices.BinarySearchFunc(p.roster, s, r.rosterCmp)
 	if !found {
-		panic(fmt.Sprintf("charm: roster out of sync with chare map on PE %d", p.index))
+		panic(fmt.Sprintf("charm: roster out of sync with residence on PE %d", p.index))
 	}
 	p.roster = slices.Delete(p.roster, at, at+1)
-	return obj
+	if !sl.done {
+		p.active--
+		if p.synced[s] {
+			p.syncedActive--
+		}
+	}
+	return sl.obj
+}
+
+// hosts reports whether the chare in slot s is resident on this PE.
+func (p *pe) hosts(s int) bool { return int(p.rts.slots[s].home) == p.index }
+
+// rosterCmp orders slots by their chares' (Array, Index) identity.
+func (r *RTS) rosterCmp(a, b int) int { return r.ids[a].Compare(r.ids[b]) }
+
+// markSynced adds slot s to this PE's synced set, counting it when it is
+// a hosted chare that is not Done.
+func (p *pe) markSynced(s int) {
+	if p.synced[s] {
+		return
+	}
+	p.synced[s] = true
+	if p.hosts(s) && !p.rts.slots[s].done {
+		p.syncedActive++
+	}
+}
+
+// unmarkSynced removes slot s from this PE's synced set.
+func (p *pe) unmarkSynced(s int) {
+	if !p.synced[s] {
+		return
+	}
+	delete(p.synced, s)
+	if p.hosts(s) && !p.rts.slots[s].done {
+		p.syncedActive--
+	}
 }
 
 // resetLoadDB restarts load measurement from the current instant. Split
 // from beginInterval so RestorePE can reset measurement on the new core
-// without touching in-flight LB protocol flags.
+// without touching in-flight LB protocol flags. Only the hosted chares'
+// walls are zeroed: a chare in flight keeps its wall, exactly the record
+// an evacuee carries to its new home.
 func (p *pe) resetLoadDB() {
-	clear(p.taskWall)
+	for _, s := range p.roster {
+		p.rts.slots[s].wall = 0
+	}
 	p.intervalAt = p.eng.Now()
 	_, idle := p.core.ProcStat()
 	p.idleAtLB = idle
@@ -184,6 +236,7 @@ func (p *pe) exitSync() {
 func (p *pe) beginInterval() {
 	p.resetLoadDB()
 	clear(p.synced)
+	p.syncedActive = 0
 	p.exitSync()
 	p.orderSeen = false
 	p.expectIn = 0
@@ -196,7 +249,7 @@ func (p *pe) beginInterval() {
 	p.diffReset()
 }
 
-func (p *pe) enqueueApp(to ChareID, data interface{}) {
+func (p *pe) enqueueApp(to int, data interface{}) {
 	p.appQ.push(appDelivery{to: to, data: data})
 }
 
@@ -229,7 +282,7 @@ func (p *pe) pump() {
 	}
 	d := p.appQ.take(idx)
 	if _, isResume := d.data.(Resume); isResume {
-		delete(p.synced, d.to)
+		p.unmarkSynced(d.to)
 	}
 	p.execute(d)
 }
@@ -256,27 +309,28 @@ func (p *pe) nextRunnable() int {
 // completion callback are both reused across entries (one entry per PE at
 // a time), so steady-state execution allocates nothing.
 func (p *pe) execute(d appDelivery) {
-	chare, ok := p.local[d.to]
-	if !ok {
+	r := p.rts
+	if !p.hosts(d.to) {
 		// The chare moved while this delivery sat in the queue (possible
 		// only across an LB step); forward it.
-		p.rts.send(p.index, d.to, d.data, 64)
+		r.send(p.index, d.to, d.data, 64)
 		p.pump()
 		return
 	}
+	chare := r.slots[d.to].obj
 	p.running = true
 	p.curTo = d.to
 	p.curStart = p.eng.Now()
 	ctx := &p.ctx
-	ctx.rts, ctx.pe, ctx.self = p.rts, p, d.to
+	ctx.rts, ctx.pe, ctx.self = r, p, d.to
 	ctx.sends = ctx.sends[:0]
 	ctx.contribs = ctx.contribs[:0]
 	ctx.atSync, ctx.done = false, false
 	cost := chare.Recv(ctx, d.data)
 	if cost < 0 {
-		panic(fmt.Sprintf("charm: chare %v returned negative cost %v", d.to, cost))
+		panic(fmt.Sprintf("charm: chare %v returned negative cost %v", r.ids[d.to], cost))
 	}
-	cost += p.rts.cfg.MsgOverheadCPU
+	cost += r.cfg.MsgOverheadCPU
 	p.thread.Run(cost, p.entryDone)
 }
 
@@ -284,7 +338,7 @@ func (p *pe) execute(d appDelivery) {
 func (p *pe) onEntryDone() {
 	now := p.eng.Now()
 	p.running = false
-	p.taskWall[p.curTo] += float64(now - p.curStart)
+	p.rts.slots[p.curTo].wall += float64(now - p.curStart)
 	if rec := p.rts.cfg.Trace; rec != nil {
 		kind := trace.KindTask
 		if p.rts.cfg.TraceAsBackground {
@@ -292,7 +346,7 @@ func (p *pe) onEntryDone() {
 		}
 		rec.Add(trace.Segment{
 			Core: p.core.ID, Start: p.curStart, End: now,
-			Kind: kind, Label: p.curTo.String(),
+			Kind: kind, Label: p.rts.ids[p.curTo].String(),
 		})
 	}
 	p.afterEntry(&p.ctx)
@@ -309,16 +363,16 @@ func (p *pe) afterEntry(ctx *Ctx) {
 		p.rts.send(p.index, m.to, m.data, m.bytes)
 	}
 	for _, c := range ctx.contribs {
-		p.contribute(ctx.self, c)
+		p.contribute(p.rts.ids[ctx.self], c)
 	}
 	if ctx.done {
 		p.rts.chareDone(p, ctx.self)
 	}
 	if ctx.atSync {
 		if p.synced[ctx.self] {
-			panic(fmt.Sprintf("charm: chare %v called AtSync twice in one interval", ctx.self))
+			panic(fmt.Sprintf("charm: chare %v called AtSync twice in one interval", p.rts.ids[ctx.self]))
 		}
-		p.synced[ctx.self] = true
+		p.markSynced(ctx.self)
 		p.maybeEnterSync(ctx.self)
 	}
 }

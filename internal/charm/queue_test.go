@@ -12,7 +12,7 @@ import (
 // delivery that is a Resume or addresses an unsynced chare, shifting the
 // rest of the queue down, and returns the delivery order and what is
 // left held.
-func shiftingOrder(q []appDelivery, synced map[ChareID]bool) (order, held []appDelivery) {
+func shiftingOrder(q []appDelivery, synced map[int]bool) (order, held []appDelivery) {
 	q = slices.Clone(q)
 	synced = maps.Clone(synced)
 	for {
@@ -43,7 +43,7 @@ type logChare struct {
 func (c *logChare) PackSize() int { return 64 }
 func (c *logChare) Recv(ctx *Ctx, data interface{}) float64 {
 	if _, isStart := data.(Start); !isStart {
-		*c.log = append(*c.log, appDelivery{to: ctx.Self(), data: data})
+		*c.log = append(*c.log, appDelivery{to: ctx.self, data: data})
 	}
 	return 1e-6
 }
@@ -56,7 +56,8 @@ type queueCase struct {
 	synced []int
 }
 
-func qid(i int) ChareID { return ChareID{Array: "q", Index: i} }
+// qid is the slot of chare i of array "q", the only array of the world.
+func qid(i int) int { return i }
 
 func queueCases() []queueCase {
 	msg := func(to, n int) appDelivery { return appDelivery{to: qid(to), data: n} }
@@ -93,17 +94,17 @@ func queueWorld(t *testing.T, log *[]appDelivery) (*RTS, *pe) {
 	}
 	p := r.pes[0]
 	for i := 0; i < 4; i++ {
-		if _, ok := p.local[qid(i)]; !ok {
+		if !p.hosts(qid(i)) {
 			t.Fatalf("chare %d not on PE 0", i)
 		}
 	}
 	return r, p
 }
 
-func load(p *pe, tc queueCase) map[ChareID]bool {
-	synced := map[ChareID]bool{}
+func load(p *pe, tc queueCase) map[int]bool {
+	synced := map[int]bool{}
 	for _, i := range tc.synced {
-		p.synced[qid(i)] = true
+		p.markSynced(qid(i))
 		synced[qid(i)] = true
 	}
 	for _, d := range tc.q {

@@ -124,9 +124,10 @@ func (p *pe) subtreeExpected(array string) int {
 }
 
 func (p *pe) countLocal(array string) int {
+	a := p.rts.array(array)
 	n := 0
-	for id := range p.local {
-		if id.Array == array {
+	for _, s := range p.roster {
+		if s >= a.base && s < a.base+a.size {
 			n++
 		}
 	}
@@ -194,9 +195,10 @@ func (p *pe) deliverReduction(k redKey, res ReductionResult) {
 	}
 	// The roster is sorted by (Array, Index), so filtering it by array
 	// yields exactly the Index order the delivery loop always used.
-	for _, id := range p.roster {
-		if id.Array == k.array {
-			p.enqueueApp(id, res)
+	a := p.rts.array(k.array)
+	for _, s := range p.roster {
+		if s >= a.base && s < a.base+a.size {
+			p.enqueueApp(s, res)
 		}
 	}
 	p.pump()

@@ -62,6 +62,10 @@ type Engine struct {
 	// so Step updates them unconditionally.
 	metEvents    *metrics.Counter
 	metHeapDepth *metrics.Gauge
+	// heapHigh is the pending-heap high-water mark since SetMetrics; the
+	// shared gauge is only raised when it grows, keeping its atomic off
+	// the per-event path.
+	heapHigh int
 }
 
 // NewEngine returns an engine at virtual time zero.
@@ -85,6 +89,16 @@ func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 func (e *Engine) SetMetrics(events *metrics.Counter, heapDepth *metrics.Gauge) {
 	e.metEvents = events
 	e.metHeapDepth = heapDepth
+	e.heapHigh = 0
+}
+
+// noteHeapDepth feeds the heap-depth gauge with the current pending count
+// whenever it sets a new high-water mark for this engine.
+func (e *Engine) noteHeapDepth() {
+	if n := e.pending.len(); n > e.heapHigh {
+		e.heapHigh = n
+		e.metHeapDepth.SetMax(float64(n))
+	}
 }
 
 // Pending reports the number of scheduled (not yet fired or cancelled)
@@ -148,7 +162,7 @@ func (e *Engine) Cancel(id EventID) {
 
 // Step fires the single next event. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	e.metHeapDepth.SetMax(float64(e.pending.len()))
+	e.noteHeapDepth()
 	for e.pending.len() > 0 {
 		ev := e.pending.pop()
 		if ev.dead {
@@ -206,7 +220,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 		if e.limit > 0 && e.executed >= e.limit {
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.limit, e.now)
 		}
-		e.metHeapDepth.SetMax(float64(e.pending.len()))
+		e.noteHeapDepth()
 		e.pending.pop()
 		fn := ev.fn
 		e.now = ev.at

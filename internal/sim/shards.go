@@ -535,7 +535,7 @@ func (s *Shards) runShard(e *Engine, edge Time) error {
 		if e.limit > 0 && e.executed >= e.limit {
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.limit, e.now)
 		}
-		e.metHeapDepth.SetMax(float64(e.pending.len()))
+		e.noteHeapDepth()
 		e.pending.pop()
 		fn := ev.fn
 		e.now = ev.at

@@ -295,10 +295,10 @@ type Network struct {
 
 	nicFree []sim.Time // per node: earliest time its NIC can start a new transfer
 	// pairs serializes state per (src,dst) core pair: the in-order
-	// delivery clamp and the drop lottery's attempt sequence. One map per
-	// source shard: the pair key starts at the source core, so a pair's
-	// entry is only ever touched by the shard sending on it.
-	pairs []map[[2]int]pairState
+	// delivery clamp and the drop lottery's attempt sequence. One table
+	// per source shard: the pair key starts at the source core, so a
+	// pair's entry is only ever touched by the shard sending on it.
+	pairs []pairTable
 
 	// Stats, per source shard.
 	messages    []uint64
@@ -335,6 +335,28 @@ type pairState struct {
 	seq  uint64   // transmission attempts rolled in the drop lottery
 }
 
+// pairTable holds one shard's pair states densely, in first-use order,
+// with an integer-keyed index: Send hashes its pair once and then works
+// on the entry in place. Only pairs that carry traffic get an entry, so
+// the table stays proportional to the communication graph, not to the
+// square of the core count.
+type pairTable struct {
+	index map[uint64]int32
+	state []pairState
+}
+
+// get returns the state of the pair (src, dst), adding it on first use.
+func (t *pairTable) get(src, dst int) *pairState {
+	key := uint64(src)<<32 | uint64(uint32(dst))
+	i, ok := t.index[key]
+	if !ok {
+		i = int32(len(t.state))
+		t.state = append(t.state, pairState{})
+		t.index[key] = i
+	}
+	return &t.state[i]
+}
+
 // New creates a network over the machine's cores. When the machine is
 // driven by a sharded scheduler it validates the conservative-lookahead
 // invariant: the scheduler's lookahead must not exceed the minimum
@@ -362,7 +384,7 @@ func New(mach *machine.Machine, cfg Config) *Network {
 		linkLat:     make([][]float64, nodes),
 		linkBW:      make([][]float64, nodes),
 		nicFree:     make([]sim.Time, nodes),
-		pairs:       make([]map[[2]int]pairState, shards),
+		pairs:       make([]pairTable, shards),
 		messages:    make([]uint64, shards),
 		bytesMoved:  make([]uint64, shards),
 		drops:       make([]uint64, shards),
@@ -383,7 +405,7 @@ func New(mach *machine.Machine, cfg Config) *Network {
 		}
 	}
 	for i := range n.pairs {
-		n.pairs[i] = make(map[[2]int]pairState)
+		n.pairs[i].index = make(map[uint64]int32)
 	}
 	return n
 }
@@ -509,9 +531,7 @@ func (n *Network) Send(srcCore, dstCore, bytes int, deliver func()) sim.Time {
 	dstNode := n.mach.NodeOf(dstCore)
 	srcShard := n.mach.ShardOf(srcCore)
 
-	key := [2]int{srcCore, dstCore}
-	pairs := n.pairs[srcShard]
-	ps := pairs[key]
+	ps := n.pairs[srcShard].get(srcCore, dstCore)
 
 	var arrival sim.Time
 	if srcNode == dstNode {
@@ -562,7 +582,6 @@ func (n *Network) Send(srcCore, dstCore, bytes int, deliver func()) sim.Time {
 		arrival = ps.last
 	}
 	ps.last = arrival
-	pairs[key] = ps
 
 	n.messages[srcShard]++
 	n.bytesMoved[srcShard] += uint64(bytes)
