@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check bench benchjson determinism verify-results figures metrics-smoke serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke figures-smoke perfbench-smoke
+.PHONY: build test vet lint race check bench benchjson determinism fuzz-smoke verify-results figures metrics-smoke serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke figures-smoke perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,7 @@ lint: vet
 race:
 	$(GO) test -race ./...
 
-check: build lint test race bench serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke figures-smoke determinism perfbench-smoke
+check: build lint test race bench serve-smoke service-smoke net-smoke diffusion-smoke obs-smoke figures-smoke determinism fuzz-smoke perfbench-smoke
 
 # Benchmark smoke: every benchmark runs exactly one iteration. Catches
 # bench bodies that rot (they only compile under -bench) without paying
@@ -51,29 +51,42 @@ bench:
 benchjson:
 	$(GO) run ./cmd/figures -benchjson BENCH_results.json
 
-# Sharded-scheduler determinism gate, named so `make check` runs it even
-# when the cached `race` target is skipped: the same scenario at shards
-# {1,2,4,8} x GOMAXPROCS {1,4} under the race detector must produce an
-# identical Result, metric snapshot and trace hash, the runtime's O(1)
-# AtSync counters must match the reference recount at shards 1 and 2,
-# and both the classic -shards 1 runtime path and the Wave2D stencil
-# superstep must stay allocation-free in steady state. The alloc gates
-# run without -race (instrumentation perturbs allocation counts);
-# -count=1 defeats the test cache so the gates always execute.
+# Scheduler determinism gate, named so `make check` runs it even when
+# the cached `race` target is skipped: the one-shard contract (a single
+# shard is the plain engine: scheduling order, clock, event counts, hooks,
+# metric series) must hold, the same scenario at shards {1,2,4,8} x
+# GOMAXPROCS {1,4} under the race detector must produce an identical
+# Result, metric snapshot and trace hash, the runtime's O(1) AtSync
+# counters must match the reference recount at shards 1 and 2, and both
+# the one-shard (-shards 1) runtime path and the Wave2D stencil superstep
+# must stay allocation-free in steady state. The alloc gates run without
+# -race (instrumentation perturbs allocation counts); -count=1 defeats
+# the test cache so the gates always execute.
 determinism:
+	$(GO) test -race -count=1 -run 'TestSingleShard|TestNewShardsValidation' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestShardsAutoResolve' ./internal/experiment
 	$(GO) test -race -count=1 -run 'TestSlotCounterOracle' ./internal/charm
-	$(GO) test -count=1 -run 'TestClassicScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree' ./internal/experiment
+	$(GO) test -count=1 -run 'TestSingleShardScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree' ./internal/experiment
+
+# Fuzz smoke: a few seconds of native fuzzing per target on top of the
+# committed seed corpora (testdata/fuzz/, which plain `go test` already
+# replays): the padded stencil kernels against their reference, and the
+# -shards and -straggle flag parsers. Longer campaigns: raise -fuzztime.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelStep$$' -fuzztime=3s ./internal/apps
+	$(GO) test -run '^$$' -fuzz '^FuzzParseShards$$' -fuzztime=3s ./internal/experiment
+	$(GO) test -run '^$$' -fuzz '^FuzzParseStraggle$$' -fuzztime=3s ./internal/experiment
 
 # Benchmark smoke: the perfbench module's own tests (it is a separate Go
 # module, so `go test ./...` at the root never sees it), then short
-# untraced stencil-testbed and cloud-churn-256 runs (the latter is the
-# only workload with drops, churn and DiffusionLB) whose result lines
-# must report no failed op — a failed op is an error or a result that
-# drifted from perfbench/reference.json.
+# untraced stencil-testbed, cloud-churn-256 (the only workload with drops,
+# churn and DiffusionLB) and mol3d-sharded (the only one on several
+# shards; its setup runs the one-shard reference it must match) runs whose
+# result lines must report no failed op — a failed op is an error or a
+# result that drifted from perfbench/reference.json.
 perfbench-smoke:
 	cd perfbench && $(GO) test .
-	@for w in stencil-testbed cloud-churn-256; do \
+	@for w in stencil-testbed cloud-churn-256 mol3d-sharded; do \
 		last=$$(bash perfbench/run.sh --workload $$w --seconds 3 --trace 0 | tail -n 1); \
 		echo "$$last" | grep -q '"failed":0' || { echo "perfbench-smoke: $$w failed ops: $$last"; exit 1; }; \
 		echo "perfbench-smoke: $$w OK"; \
@@ -297,8 +310,8 @@ figures:
 		-csv results -parallel 0 > results/fig7.txt
 
 # Regenerate the full results/ tree into a temp dir and diff it against
-# the committed files, twice: once on the classic single engine and once
-# with the sharded scheduler (-shards 8, one shard per testbed node).
+# the committed files, twice: once on one shard (-shards 1) and once on
+# eight (-shards 8, one shard per testbed node).
 # The committed figures are a byte-exact oracle for the simulation's
 # determinism; any divergence — including between shard counts — is a
 # regression, not noise. The "wrote <path>" status lines in the .txt

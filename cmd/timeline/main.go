@@ -74,8 +74,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng := sim.NewEngine()
-	mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1, Metrics: prof.Registry()})
+	sh := sim.NewShards(1, 0)
+	mach := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1, Metrics: prof.Registry()})
 	net := xnet.New(mach, xnet.DefaultConfig())
 	rec := trace.NewRecorder()
 
@@ -110,17 +110,17 @@ func main() {
 	tracker.ScenarioStarted(0)
 	t0 := time.Now()
 	rts.Start()
-	for !rts.Finished() && eng.Now() < 1000 {
-		if err := eng.RunUntil(eng.Now() + 1); err != nil {
+	for !rts.Finished() && sh.Now() < 1000 {
+		if err := sh.RunUntil(sh.Now() + 1); err != nil {
 			panic(err)
 		}
 		// Publish per-core busy/idle so a live -serve scrape sees them move.
 		mach.PublishMetrics()
 	}
 	mach.PublishMetrics()
-	tracker.ScenarioDone(0, time.Since(t0), eng.Executed())
+	tracker.ScenarioDone(0, time.Since(t0), sh.Executed())
 	log.Info("timeline run complete", "wall_s", time.Since(t0).Seconds(),
-		"events", eng.Executed(), "migrations", rts.Migrations(), "lb_steps", rts.LBSteps())
+		"events", sh.Executed(), "migrations", rts.Migrations(), "lb_steps", rts.LBSteps())
 	finish := rts.FinishTime()
 	fmt.Printf("Wave2D (%s) finished at %.2fs, %d migrations, %d LB steps\n\n",
 		*strategy, float64(finish), rts.Migrations(), rts.LBSteps())

@@ -23,8 +23,8 @@ import (
 
 func main() {
 	scenario := func(strategy core.Strategy, withHog bool) float64 {
-		eng := sim.NewEngine()
-		mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+		sh := sim.NewShards(1, 0)
+		mach := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 		net := xnet.New(mach, xnet.DefaultConfig())
 		rts := charm.NewRTS(charm.Config{
 			Machine: mach, Net: net, Cores: []int{0, 1, 2, 3},
@@ -53,8 +53,8 @@ func main() {
 			}
 		})
 		rts.Start()
-		for !rts.Finished() && eng.Now() < 200 {
-			if err := eng.RunUntil(eng.Now() + 1); err != nil {
+		for !rts.Finished() && sh.Now() < 200 {
+			if err := sh.RunUntil(sh.Now() + 1); err != nil {
 				panic(err)
 			}
 		}

@@ -25,8 +25,8 @@ import (
 )
 
 func run(strategy core.Strategy, rec *trace.Recorder) (wall float64, migrations, tenants int) {
-	eng := sim.NewEngine()
-	mach := machine.New(eng, machine.Config{Nodes: 2, CoresPerNode: 4, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	mach := machine.New(sh, machine.Config{Nodes: 2, CoresPerNode: 4, CoreSpeed: 1})
 	net := xnet.New(mach, xnet.DefaultConfig())
 	cores := []int{0, 1, 2, 3, 4, 5, 6, 7}
 
@@ -49,8 +49,8 @@ func run(strategy core.Strategy, rec *trace.Recorder) (wall float64, migrations,
 	})
 
 	rts.Start()
-	for !rts.Finished() && eng.Now() < 1000 {
-		if err := eng.RunUntil(eng.Now() + 1); err != nil {
+	for !rts.Finished() && sh.Now() < 1000 {
+		if err := sh.RunUntil(sh.Now() + 1); err != nil {
 			panic(err)
 		}
 	}
@@ -76,8 +76,8 @@ func main() {
 }
 
 func runQuiet() (float64, int, int) {
-	eng := sim.NewEngine()
-	mach := machine.New(eng, machine.Config{Nodes: 2, CoresPerNode: 4, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	mach := machine.New(sh, machine.Config{Nodes: 2, CoresPerNode: 4, CoreSpeed: 1})
 	net := xnet.New(mach, xnet.DefaultConfig())
 	rts := charm.NewRTS(charm.Config{
 		Machine: mach, Net: net, Cores: []int{0, 1, 2, 3, 4, 5, 6, 7}, Name: "jacobi",
@@ -88,8 +88,8 @@ func runQuiet() (float64, int, int) {
 		NewKernel: apps.NewJacobiKernel(256, 256),
 	})
 	rts.Start()
-	for !rts.Finished() && eng.Now() < 1000 {
-		if err := eng.RunUntil(eng.Now() + 1); err != nil {
+	for !rts.Finished() && sh.Now() < 1000 {
+		if err := sh.RunUntil(sh.Now() + 1); err != nil {
 			panic(err)
 		}
 	}

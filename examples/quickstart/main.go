@@ -23,8 +23,8 @@ import (
 )
 
 func run(strategy core.Strategy, withInterference bool) (wall float64, migrations int) {
-	eng := sim.NewEngine()
-	mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	mach := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 	net := xnet.New(mach, xnet.DefaultConfig())
 
 	rts := charm.NewRTS(charm.Config{
@@ -45,8 +45,8 @@ func run(strategy core.Strategy, withInterference bool) (wall float64, migration
 	}
 
 	rts.Start()
-	for !rts.Finished() && eng.Now() < 1000 {
-		if err := eng.RunUntil(eng.Now() + 1); err != nil {
+	for !rts.Finished() && sh.Now() < 1000 {
+		if err := sh.RunUntil(sh.Now() + 1); err != nil {
 			panic(err)
 		}
 	}

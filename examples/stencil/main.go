@@ -24,8 +24,8 @@ import (
 )
 
 func main() {
-	eng := sim.NewEngine()
-	mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	mach := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 	net := xnet.New(mach, xnet.DefaultConfig())
 	rec := trace.NewRecorder()
 
@@ -46,8 +46,8 @@ func main() {
 	interfere.StartHog(mach, interfere.HogConfig{Core: 3, Start: 4.5, Stop: 6.5, Trace: rec, Name: "vm-b"})
 
 	rts.Start()
-	for !rts.Finished() && eng.Now() < 100 {
-		if err := eng.RunUntil(eng.Now() + 1); err != nil {
+	for !rts.Finished() && sh.Now() < 100 {
+		if err := sh.RunUntil(sh.Now() + 1); err != nil {
 			panic(err)
 		}
 	}

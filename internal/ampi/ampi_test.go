@@ -13,8 +13,9 @@ import (
 
 func world(t *testing.T, coresN int, strat core.Strategy) (*sim.Engine, *machine.Machine, *charm.RTS) {
 	t.Helper()
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: coresN, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: coresN, CoreSpeed: 1})
 	n := xnet.New(m, xnet.DefaultConfig())
 	cores := make([]int, coresN)
 	for i := range cores {

@@ -14,8 +14,9 @@ import (
 // distinguished payloads, as MPICH-style implementations do over a flat
 // topology.
 
-// Wtime returns the current virtual time in seconds (MPI_Wtime).
-func (r *Rank) Wtime() float64 { return float64(r.rc.world.rts.Engine().Now()) }
+// Wtime returns the current virtual time in seconds (MPI_Wtime), read
+// from the clock of the PE executing the rank.
+func (r *Rank) Wtime() float64 { return float64(r.rc.ctx.Now()) }
 
 // SendRecv sends to one rank and receives from another in one logical
 // step (MPI_Sendrecv): the send is initiated before blocking on the

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"cloudlb/internal/charm"
+	"cloudlb/internal/machine"
+	"cloudlb/internal/sim"
+	"cloudlb/internal/xnet"
 )
 
 func TestBcast(t *testing.T) {
@@ -213,5 +216,53 @@ func TestBcastInvalidRootPanics(t *testing.T) {
 		}
 	default:
 		t.Fatal("program never ran")
+	}
+}
+
+// TestWtimeReadsOwnPEClock: Wtime is the clock of the PE executing the
+// rank. A 2-node world run on one shard and on two (one node each) must
+// record identical per-rank Wtime sequences; on two shards a rank on
+// node 1 that read another shard's clock would see a foreign — and,
+// inside a parallel window, racing — time.
+func TestWtimeReadsOwnPEClock(t *testing.T) {
+	const ranks, steps = 4, 12
+	run := func(shards int) [][]float64 {
+		const nodes = 2
+		netCfg := xnet.DefaultConfig()
+		sh := sim.NewShards(shards, sim.Time(netCfg.MinInterNodeLatency(nodes)))
+		defer sh.Close()
+		m := machine.New(sh, machine.Config{Nodes: nodes, CoresPerNode: 2, CoreSpeed: 1})
+		rts := charm.NewRTS(charm.Config{Machine: m, Net: xnet.New(m, netCfg), Cores: []int{0, 1, 2, 3}})
+		times := make([][]float64, ranks)
+		New(rts, "wt", ranks, func(r *Rank) {
+			partner := r.Rank() ^ 2 // the same local index on the other node
+			for i := 0; i < steps; i++ {
+				r.Charge(0.01 * float64(1+(r.Rank()+i)%3))
+				r.SendRecv(partner, i, 512, partner)
+				times[r.Rank()] = append(times[r.Rank()], r.Wtime())
+			}
+		})
+		rts.Start()
+		for !rts.Finished() && sh.Now() < 100 {
+			if err := sh.RunUntil(sh.Now() + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !rts.Finished() {
+			t.Fatalf("%d shards: world did not finish", shards)
+		}
+		return times
+	}
+	want := run(1)
+	got := run(2)
+	for rank := range want {
+		if len(want[rank]) != steps || len(got[rank]) != steps {
+			t.Fatalf("rank %d: %d and %d Wtime samples, want %d", rank, len(want[rank]), len(got[rank]), steps)
+		}
+		for i := range want[rank] {
+			if got[rank][i] != want[rank][i] {
+				t.Fatalf("rank %d step %d: Wtime %v on 2 shards, %v on 1", rank, i, got[rank][i], want[rank][i])
+			}
+		}
 	}
 }

@@ -92,9 +92,9 @@ func constRow(n int, v float64) []float64 {
 func assembleOnDone(t *testing.T, rts *charm.RTS, bands [][]float64, gw, rows int) [][]float64 {
 	t.Helper()
 	rts.Start()
-	eng := rts.Engine()
-	for !rts.Finished() && eng.Now() < 10000 {
-		if err := eng.RunUntil(eng.Now() + 1); err != nil {
+	sh := rts.Machine().Shards()
+	for !rts.Finished() && sh.Now() < 10000 {
+		if err := sh.RunUntil(sh.Now() + 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,8 +172,7 @@ func TestAMPIJacobiBenefitsFromLB(t *testing.T) {
 	// The paper's AMPI claim end-to-end: an MPI-style solver under
 	// interference speeds up when its ranks migrate.
 	run := func(strat core.Strategy) sim.Time {
-		eng := sim.NewEngine()
-		m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+		m := machine.New(sim.NewShards(1, 0), machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 		n := xnet.New(m, xnet.DefaultConfig())
 		rts := charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: []int{0, 1, 2, 3}, Strategy: strat})
 		hog := m.NewThread("hog", m.Core(2), 1)

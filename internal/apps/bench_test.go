@@ -64,8 +64,9 @@ func BenchmarkStencilSimulation(b *testing.B) {
 	// End-to-end simulated Wave2D on 4 cores: measures the whole stack
 	// (engine, machine, network, runtime, kernels).
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+		sh := sim.NewShards(1, 0)
+		eng := sh.Engine(0)
+		m := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 		n := xnet.New(m, xnet.DefaultConfig())
 		rts := charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: []int{0, 1, 2, 3}})
 		NewStencilApp(rts, StencilConfig{
@@ -82,8 +83,9 @@ func BenchmarkStencilSimulation(b *testing.B) {
 
 func BenchmarkMol3DSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+		sh := sim.NewShards(1, 0)
+		eng := sh.Engine(0)
+		m := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 		n := xnet.New(m, xnet.DefaultConfig())
 		rts := charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: []int{0, 1, 2, 3}})
 		NewMol3DApp(rts, Mol3DConfig{

@@ -15,8 +15,9 @@ import (
 
 func testRTS(t *testing.T, nodes, coresPer int) (*sim.Engine, *charm.RTS) {
 	t.Helper()
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: nodes, CoresPerNode: coresPer, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: nodes, CoresPerNode: coresPer, CoreSpeed: 1})
 	n := xnet.New(m, xnet.DefaultConfig())
 	cores := make([]int, m.NumCores())
 	for i := range cores {
@@ -144,8 +145,9 @@ func TestJacobiWithAtSyncMatchesSerial(t *testing.T) {
 
 func testRTSWithStrategy(t *testing.T) (*sim.Engine, *charm.RTS) {
 	t.Helper()
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 	n := xnet.New(m, xnet.DefaultConfig())
 	return eng, charm.NewRTS(charm.Config{
 		Machine: m, Net: n, Cores: []int{0, 1, 2, 3},

@@ -174,9 +174,7 @@ type Config struct {
 // RTS is a runtime instance.
 type RTS struct {
 	cfg Config
-	eng *sim.Engine
-	// sh is the sharded scheduler driving the machine, nil in the classic
-	// single-engine configuration. When non-nil, every PE's events run on
+	// sh is the scheduler driving the machine. Every PE's events run on
 	// its core's shard engine, and the runtime splits its hot-path mutable
 	// state (message pools, in-flight counters, Done marks) per shard so
 	// parallel windows never contend; the AtSync/LB protocol and quiescence
@@ -232,7 +230,7 @@ type RTS struct {
 	distInstr *distStepInstr
 
 	// Quiescence detection state. netInflight counts in-flight runtime
-	// messages in one slot per shard (a single slot when unsharded): the
+	// messages in one slot per shard: the
 	// send side increments the source shard's slot and the delivery side
 	// decrements the destination's, so each slot is only ever touched by
 	// code executing on its own shard and a slot can go transiently
@@ -253,18 +251,17 @@ type RTS struct {
 	evacuations    int
 
 	// msgFree recycles application message envelopes (see appMsg), one
-	// pool per shard (a single pool when unsharded): each envelope carries
+	// pool per shard: each envelope carries
 	// its delivery closure with it, so the steady-state send path schedules
 	// network and engine events without allocating. Envelopes are taken
 	// from the sending shard's pool and released into the delivering
 	// shard's, keeping every pool single-writer within a window.
 	msgFree []msgPool
 
-	// shardDone is the per-shard Done accounting under a sharded scheduler
-	// (nil otherwise): chares set their slot's done bit on the hosting
-	// shard mid-window and count the call shard-locally; the coordinator's
-	// barrier hook folds the counts into done, firing onDone with the
-	// exact virtual finish time.
+	// shardDone is the per-shard Done accounting of a Concurrent
+	// scheduler: chares count their Done calls shard-locally mid-window,
+	// and the coordinator's barrier hook folds the counts into done,
+	// firing onDone with the exact virtual finish time.
 	shardDone []shardDoneState
 
 	// outsScratch/insScratch are the per-PE migration-order buffers
@@ -349,23 +346,17 @@ func NewRTS(cfg Config) *RTS {
 	}
 	r := &RTS{
 		cfg:  cfg,
-		eng:  cfg.Machine.Engine(),
 		sh:   cfg.Machine.Shards(),
 		name: cfg.Name,
 	}
 	for i, c := range cfg.Cores {
 		r.pes = append(r.pes, newPE(r, i, cfg.Machine.Core(c)))
 	}
-	shards := 1
-	if r.sh != nil {
-		shards = r.sh.NumShards()
-	}
+	shards := r.sh.NumShards()
 	r.msgFree = make([]msgPool, shards)
 	r.netInflight = make([]inflightCount, shards)
-	if r.sh != nil {
-		r.shardDone = make([]shardDoneState, shards)
-		r.sh.OnBarrier(r.consolidate)
-	}
+	r.shardDone = make([]shardDoneState, shards)
+	r.sh.OnBarrier(r.consolidate)
 	r.outsScratch = make([][]core.Move, len(r.pes))
 	r.insScratch = make([]int, len(r.pes))
 	r.childrenMemo = make([][]int, len(r.pes))
@@ -388,9 +379,6 @@ func NewRTS(cfg Config) *RTS {
 	r.met = newRTSMetrics(cfg.Metrics, cfg.LBTimeline, cfg.Name, len(r.pes))
 	return r
 }
-
-// Engine returns the simulation engine driving this runtime.
-func (r *RTS) Engine() *sim.Engine { return r.eng }
 
 // NumPEs returns how many PEs (cores) the runtime owns.
 func (r *RTS) NumPEs() int { return len(r.pes) }
@@ -494,12 +482,8 @@ func (r *RTS) Start() {
 // shards recursing through the same entries. Called from coordinator
 // context whenever placements may have changed and parallel windows are
 // about to resume: at Start and when the last sequential-demand holder
-// (LB resume, quiescence waiter) releases. No-op when unsharded — the
-// lazy fills are safe single-threaded.
+// (LB resume, quiescence waiter) releases.
 func (r *RTS) primeMemos() {
-	if r.sh == nil {
-		return
-	}
 	for _, p := range r.pes {
 		r.treeChildren(p.index)
 		for _, a := range r.arrays {
@@ -513,8 +497,8 @@ func (r *RTS) primeMemos() {
 // folding each shard's Done calls into the global count. The finish time
 // is exact despite the deferred bookkeeping: Done timestamps only grow
 // within and across barriers, so the maximum over the final batch is the
-// virtual time of the very last Done call — the same instant the
-// single-engine path records synchronously.
+// virtual time of the very last Done call — the same instant a single
+// shard records synchronously.
 func (r *RTS) consolidate() {
 	var last sim.Time
 	pending := false
@@ -589,16 +573,17 @@ func (r *RTS) LBWallTime() sim.Time {
 // chareDone records a Done call by the chare in slot s, which the calling
 // PE hosts. The first call sets the slot's done bit and takes the chare out
 // of the PE's active count — not its synced count: a chare only runs while
-// it is not synced here, and afterEntry applies Done before AtSync. Under
-// a sharded scheduler only the hosting shard writes either, and the call
+// it is not synced here, and afterEntry applies Done before AtSync. Only
+// the hosting shard writes either. With a Concurrent scheduler the call
 // itself is counted shard-locally for the barrier hook to consolidate
-// (writing the global count from a window would race other shards).
+// (writing the global count from a window would race other shards); a
+// single shard counts it where it happens.
 func (r *RTS) chareDone(p *pe, s int) {
 	if sl := &r.slots[s]; !sl.done {
 		sl.done = true
 		p.active--
 	}
-	if r.shardDone != nil {
+	if r.sh.Concurrent() {
 		sd := &r.shardDone[p.shard]
 		sd.count++
 		sd.lastAt = p.eng.Now()
@@ -607,7 +592,7 @@ func (r *RTS) chareDone(p *pe, s int) {
 	r.done++
 	if r.done == r.total && !r.finished {
 		r.finished = true
-		r.finishAt = r.eng.Now()
+		r.finishAt = p.eng.Now()
 		if r.onDone != nil {
 			r.onDone()
 		}

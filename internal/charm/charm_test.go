@@ -12,8 +12,9 @@ import (
 
 // testWorld builds a machine + network for nodes*coresPerNode cores.
 func testWorld(nodes, coresPerNode int) (*sim.Engine, *machine.Machine, *xnet.Network) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: nodes, CoresPerNode: coresPerNode, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: nodes, CoresPerNode: coresPerNode, CoreSpeed: 1})
 	n := xnet.New(m, xnet.DefaultConfig())
 	return eng, m, n
 }

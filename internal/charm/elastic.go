@@ -54,13 +54,12 @@ func (r *RTS) RevokePE(peIdx int, warning sim.Duration) {
 		panic("charm: negative revocation warning")
 	}
 	// Evacuation reaches across every shard (it ships objects to arbitrary
-	// live PEs outside any synchronized protocol), so elasticity pins a
-	// sharded run to merged-sequential execution for good. The scenario
-	// layer already forces this for fault scenarios; this is the backstop
-	// for direct API users.
-	if r.sh != nil {
-		r.sh.ForceSequential()
-	}
+	// live PEs outside any synchronized protocol), so elasticity pins the
+	// run to merged-sequential execution for good, where every shard clock
+	// follows the frontier and p.eng reads it. The scenario layer already
+	// forces this for fault scenarios; this is the backstop for direct API
+	// users.
+	r.sh.ForceSequential()
 	p := r.pes[peIdx]
 	if p.retired {
 		panic(fmt.Sprintf("charm: PE %d already revoked", peIdx))
@@ -70,18 +69,18 @@ func (r *RTS) RevokePE(peIdx int, warning sim.Duration) {
 		return
 	}
 	p.retired = true
-	r.cfg.Trace.Mark(p.core.ID, r.eng.Now(), "revoked")
+	r.cfg.Trace.Mark(p.core.ID, p.eng.Now(), "revoked")
 	if p.thread.Running() {
 		p.thread.FinishNow()
 	}
 	if warning > 0 {
 		r.evacuatePE(p)
-		r.eng.After(warning, func() { r.takeOffline(p) })
+		p.eng.After(warning, func() { r.takeOffline(p) })
 		return
 	}
 	r.takeOffline(p)
 	delay := r.cfg.FaultDetectionDelay
-	r.eng.After(sim.Duration(delay), func() {
+	p.eng.After(sim.Duration(delay), func() {
 		if p.retired {
 			r.evacuatePE(p)
 		}
@@ -97,9 +96,7 @@ func (r *RTS) RestorePE(peIdx int, newCoreID int) {
 	if peIdx < 0 || peIdx >= len(r.pes) {
 		panic(fmt.Sprintf("charm: restoring invalid PE %d", peIdx))
 	}
-	if r.sh != nil {
-		r.sh.ForceSequential()
-	}
+	r.sh.ForceSequential()
 	p := r.pes[peIdx]
 	if !p.retired {
 		panic(fmt.Sprintf("charm: PE %d is not revoked", peIdx))
@@ -111,7 +108,7 @@ func (r *RTS) RestorePE(peIdx int, newCoreID int) {
 	old := p.core
 	if p.wentOffline {
 		r.cfg.Trace.Add(trace.Segment{
-			Core: old.ID, Start: p.offlineAt, End: r.eng.Now(),
+			Core: old.ID, Start: p.offlineAt, End: p.eng.Now(),
 			Kind: trace.KindOffline, Label: "revoked",
 		})
 	}
@@ -132,7 +129,7 @@ func (r *RTS) RestorePE(peIdx int, newCoreID int) {
 	p.retired = false
 	p.wentOffline = false
 	p.resetLoadDB()
-	r.cfg.Trace.Mark(p.core.ID, r.eng.Now(), "restored")
+	r.cfg.Trace.Mark(p.core.ID, p.eng.Now(), "restored")
 }
 
 // Evacuations reports how many chares were emergency-evacuated off
@@ -187,8 +184,8 @@ func (r *RTS) takeOffline(p *pe) {
 	// delay elapses and the evacuation ships them out.
 	p.core.SetOffline()
 	p.wentOffline = true
-	p.offlineAt = r.eng.Now()
-	r.cfg.Trace.Mark(p.core.ID, r.eng.Now(), "offline")
+	p.offlineAt = p.eng.Now()
+	r.cfg.Trace.Mark(p.core.ID, p.eng.Now(), "offline")
 }
 
 // evacuatePE ships every chare off a retiring PE to the least-populated

@@ -38,8 +38,9 @@ type step struct{}
 // cores, the paper's RefineLB attached (idle here — the load is already
 // balanced).
 func Example() {
-	eng := sim.NewEngine()
-	mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 2, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	mach := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 2, CoreSpeed: 1})
 	net := xnet.New(mach, xnet.DefaultConfig())
 
 	rts := charm.NewRTS(charm.Config{

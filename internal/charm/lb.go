@@ -169,8 +169,7 @@ func (r *RTS) masterStats(st peStats) {
 		lb.doneCount = 0
 		// Master-side handlers always run with the master PE's clock at the
 		// event time (sequential demand was raised before any stats message
-		// could be sent), so its engine is the one to read — r.eng can be a
-		// different, ragged shard when the runtime does not own core 0.
+		// could be sent), so its engine is the one to read.
 		lb.startAt = r.pes[0].eng.Now()
 	}
 	lb.stats.Tasks = append(lb.stats.Tasks, st.tasks...)

@@ -51,8 +51,9 @@ func (r *streamReceiver) Recv(ctx *Ctx, data interface{}) float64 {
 // always delivers, so the AtSync/reduction protocols above never see a
 // gap.
 func TestInOrderDeliveryAcrossRetransmits(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 2, CoresPerNode: 1, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 2, CoresPerNode: 1, CoreSpeed: 1})
 	cfg := xnet.DefaultConfig()
 	cfg.DropPct = 40
 	cfg.Seed = 17

@@ -17,10 +17,9 @@ type pe struct {
 	rts   *RTS
 	index int
 	core  *machine.Core
-	// eng owns this PE's events — the core's shard engine under a sharded
-	// scheduler, the single machine engine otherwise. Every time read on a
-	// PE execution path goes through it; reading another shard's clock
-	// mid-window would return a ragged time.
+	// eng owns this PE's events — the core's shard engine. Every time read
+	// on a PE execution path goes through it; reading another shard's
+	// clock mid-window would return a ragged time.
 	eng    *sim.Engine
 	shard  int
 	thread *machine.Thread
@@ -200,17 +199,15 @@ func (p *pe) resetLoadDB() {
 	p.idleAtLB = idle
 }
 
-// markInSync flips this PE into the synchronized state. Under a sharded
-// scheduler it also raises one unit of sequential demand: from the next
+// markInSync flips this PE into the synchronized state. It also raises
+// one unit of sequential demand: from the next
 // event on this shard (and the next barrier globally) until the matching
 // resume, the coordinator executes everything in global timestamp order,
 // because the LB step's master-side handlers read state on every shard.
 func (p *pe) markInSync() {
 	p.inSync = true
 	p.syncAt = p.eng.Now()
-	if sh := p.rts.sh; sh != nil {
-		sh.RequireSequential()
-	}
+	p.rts.sh.RequireSequential()
 }
 
 // exitSync leaves the synchronized state, releasing the demand markInSync
@@ -222,12 +219,8 @@ func (p *pe) exitSync() {
 		return
 	}
 	p.inSync = false
-	sh := p.rts.sh
-	if sh == nil {
-		return
-	}
-	sh.ReleaseSequential()
-	if !sh.Sequential() {
+	p.rts.sh.ReleaseSequential()
+	if !p.rts.sh.Sequential() {
 		p.rts.primeMemos()
 	}
 }

@@ -17,12 +17,10 @@ package charm
 // (asynchronously, like every other runtime callback). Each registration
 // fires exactly once.
 func (r *RTS) StartQD(fn func()) {
-	if r.sh != nil {
-		// The quiescence check reads queue and in-flight state on every
-		// shard, so the whole wait runs merged-sequentially. Released when
-		// the waiter fires.
-		r.sh.RequireSequential()
-	}
+	// The quiescence check reads queue and in-flight state on every shard,
+	// so the whole wait runs merged-sequentially. Released when the waiter
+	// fires.
+	r.sh.RequireSequential()
 	r.qdWaiters = append(r.qdWaiters, fn)
 	r.maybeQuiesce()
 }
@@ -77,21 +75,14 @@ func (r *RTS) maybeQuiesce() {
 		for _, fn := range waiters {
 			fn()
 		}
-		if r.sh != nil {
-			for range waiters {
-				r.sh.ReleaseSequential()
-			}
-			if !r.sh.Sequential() {
-				r.primeMemos()
-			}
+		for range waiters {
+			r.sh.ReleaseSequential()
+		}
+		if !r.sh.Sequential() {
+			r.primeMemos()
 		}
 	}
-	if r.sh != nil {
-		// The sharded frontier clock, not r.eng: the quiescent instant is
-		// wherever merged execution has advanced to, and r.eng may belong
-		// to a shard this runtime does not even run on.
-		r.sh.GlobalAfter(0, fire)
-		return
-	}
-	r.eng.After(0, fire)
+	// The coordinator clock: the quiescent instant is wherever merged
+	// execution has advanced to, whichever shard detected it.
+	r.sh.GlobalAfter(0, fire)
 }

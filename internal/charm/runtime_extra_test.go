@@ -340,10 +340,10 @@ func TestZeroCoreConfigPanics(t *testing.T) {
 }
 
 func TestAccessorMethods(t *testing.T) {
-	eng, m, n := testWorld(2, 2)
+	_, m, n := testWorld(2, 2)
 	r := NewRTS(Config{Machine: m, Net: n, Cores: []int{1, 3, 0}})
-	if r.Engine() != eng {
-		t.Fatal("Engine accessor")
+	if r.Machine() != m {
+		t.Fatal("Machine accessor")
 	}
 	if r.NumPEs() != 3 {
 		t.Fatalf("NumPEs=%d", r.NumPEs())

@@ -14,10 +14,8 @@ import (
 	"cloudlb/internal/xnet"
 )
 
-// oracleWorld is a cluster on the classic engine (shards 1) or on a
-// sharded scheduler.
+// oracleWorld is a cluster on one shard or on several.
 type oracleWorld struct {
-	eng *sim.Engine // nil when sharded
 	sh  *sim.Shards
 	m   *machine.Machine
 	net *xnet.Network
@@ -26,15 +24,10 @@ type oracleWorld struct {
 func newOracleWorld(t *testing.T, shards, nodes, coresPer int, netCfg xnet.Config) *oracleWorld {
 	t.Helper()
 	cfg := machine.Config{Nodes: nodes, CoresPerNode: coresPer, CoreSpeed: 1}
-	if shards > 1 {
-		sh := sim.NewShards(shards, sim.Time(netCfg.MinInterNodeLatency(nodes)))
-		t.Cleanup(sh.Close)
-		m := machine.NewSharded(sh, cfg)
-		return &oracleWorld{sh: sh, m: m, net: xnet.New(m, netCfg)}
-	}
-	eng := sim.NewEngine()
-	m := machine.New(eng, cfg)
-	return &oracleWorld{eng: eng, m: m, net: xnet.New(m, netCfg)}
+	sh := sim.NewShards(shards, sim.Time(netCfg.MinInterNodeLatency(nodes)))
+	t.Cleanup(sh.Close)
+	m := machine.New(sh, cfg)
+	return &oracleWorld{sh: sh, m: m, net: xnet.New(m, netCfg)}
 }
 
 func (w *oracleWorld) cores() []int {
@@ -136,20 +129,21 @@ func newOracleArray(r *charm.RTS, n, iters, syncEvery int, loneDone bool) []*ora
 }
 
 // runOracle drives the world until stop reports true, checking every PE's
-// counters against the reference recount after every engine event
-// (classic) or at every barrier (sharded, where the chares' own per-entry
-// checks cover the parallel windows). poke, when non-nil, runs at each
-// check point with every shard parked.
+// counters against the reference recount after every engine event (one
+// shard) or at every barrier (several shards, where the chares' own
+// per-entry checks cover the parallel windows). poke, when non-nil, runs
+// at each check point with every shard parked.
 func runOracle(t *testing.T, w *oracleWorld, r *charm.RTS, stop func() bool, poke func()) {
 	t.Helper()
 	const deadline = 300
-	if w.eng != nil {
+	if !w.sh.Concurrent() {
+		eng := w.sh.Engine(0)
 		for !stop() {
-			if !w.eng.Step() || w.eng.Now() > deadline {
-				t.Fatalf("run did not finish (t=%v)", w.eng.Now())
+			if !eng.Step() || eng.Now() > deadline {
+				t.Fatalf("run did not finish (t=%v)", eng.Now())
 			}
 			if msg := charm.CounterDivergence(r); msg != "" {
-				t.Fatalf("after event %d: %s", w.eng.Executed(), msg)
+				t.Fatalf("after event %d: %s", eng.Executed(), msg)
 			}
 			if poke != nil {
 				poke()
@@ -196,7 +190,7 @@ func checkChares(t *testing.T, chares []*oracleChare, wantFinished bool) {
 // distributed protocols, Done mid-run (alone and together with AtSync),
 // lossy churn, and evacuation of synced chares, the counters and
 // nonEmptyPEs must equal the reference recount at every event, on the
-// classic engine and at Shards 2.
+// one shard and at Shards 2.
 func TestSlotCounterOracle(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -253,9 +247,7 @@ func TestSlotCounterOracle(t *testing.T) {
 			})
 			t.Run("evacuation", func(t *testing.T) {
 				w := newOracleWorld(t, shards, 2, 4, xnet.DefaultConfig())
-				if w.sh != nil {
-					w.sh.ForceSequential()
-				}
+				w.sh.ForceSequential()
 				w.hog(3)
 				r := charm.NewRTS(charm.Config{Machine: w.m, Net: w.net, Cores: w.cores(),
 					Strategy: &core.RefineLB{EpsilonFrac: 0.02}})
@@ -273,16 +265,10 @@ func TestSlotCounterOracle(t *testing.T) {
 					warning sim.Duration
 				}{{5, 0.01}, {2, 0}}
 				next, revokedAt, carried, stopAt := 0, sim.Time(-1), 0, -1
-				now := func() sim.Time {
-					if w.eng != nil {
-						return w.eng.Now()
-					}
-					return w.sh.Now()
-				}
 				poke := func() {
 					if revokedAt >= 0 {
 						v := victims[next-1]
-						if now() > revokedAt+0.3 && r.Retired(v.pe) && !charm.LBBusy(r) {
+						if w.sh.Now() > revokedAt+0.3 && r.Retired(v.pe) && !charm.LBBusy(r) {
 							r.RestorePE(v.pe, -1)
 							revokedAt = -1
 							if next == len(victims) {
@@ -298,7 +284,7 @@ func TestSlotCounterOracle(t *testing.T) {
 					if n := charm.SyncedWaiting(r, v.pe); n > 0 {
 						carried += n
 						r.RevokePE(v.pe, v.warning)
-						revokedAt = now()
+						revokedAt = w.sh.Now()
 						next++
 					}
 				}
@@ -335,7 +321,7 @@ func TestChareFoundWhileMigrating(t *testing.T) {
 	r.Start()
 	probes := 0
 	for !r.Finished() {
-		if !w.eng.Step() {
+		if !w.sh.Engine(0).Step() {
 			t.Fatal("engine drained before the run finished")
 		}
 		for i, obj := range objs {
@@ -346,7 +332,7 @@ func TestChareFoundWhileMigrating(t *testing.T) {
 			probes++
 			if got := r.Chare(id); got != obj {
 				t.Fatalf("t=%v: Chare(%v) = %v while moving to PE %d, want the live object",
-					w.eng.Now(), id, got, r.Location(id))
+					w.sh.Engine(0).Now(), id, got, r.Location(id))
 			}
 		}
 	}
@@ -415,7 +401,7 @@ func TestUnknownChareSendTable(t *testing.T) {
 			r.NewArray("a", 4, func(int) charm.Chare { return &badSender{to: tc.to} })
 			msg := msgOf(func() {
 				r.Start()
-				_ = w.eng.Run()
+				_ = w.sh.Engine(0).Run()
 			})
 			if !strings.Contains(msg, "send to unknown chare") {
 				t.Fatalf("Ctx.Send to %v: panic %q, want send to unknown chare", tc.to, msg)

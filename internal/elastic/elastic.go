@@ -68,18 +68,19 @@ func (s Schedule) Validate(numPEs int) error {
 	return nil
 }
 
-// Apply validates the schedule and arms its events on the runtime's
-// engine. Call before running the simulation.
+// Apply validates the schedule and arms its events as coordinator events
+// on the runtime's machine (revocations reach across every shard). Call
+// before running the simulation.
 func (s Schedule) Apply(rts *charm.RTS) {
 	if err := s.Validate(rts.NumPEs()); err != nil {
 		panic(err)
 	}
-	eng := rts.Engine()
+	mach := rts.Machine()
 	for _, r := range sorted(s) {
 		r := r
-		eng.At(r.At-sim.Time(r.Warning), func() { rts.RevokePE(r.PE, r.Warning) })
+		mach.GlobalAt(r.At-sim.Time(r.Warning), func() { rts.RevokePE(r.PE, r.Warning) })
 		if r.Restore != 0 {
-			eng.At(r.Restore, func() { rts.RestorePE(r.PE, r.ReplacementCore) })
+			mach.GlobalAt(r.Restore, func() { rts.RestorePE(r.PE, r.ReplacementCore) })
 		}
 	}
 }

@@ -67,8 +67,9 @@ func (c *elasticChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 }
 
 func TestApplyDrivesRuntime(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 6, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 6, CoreSpeed: 1})
 	n := xnet.New(m, xnet.DefaultConfig())
 	r := charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: []int{0, 1, 2, 3}})
 	r.NewArray("w", 8, func(int) charm.Chare { return &elasticChare{iters: 40} })
@@ -103,8 +104,7 @@ func TestApplyDrivesRuntime(t *testing.T) {
 }
 
 func TestApplyPanicsOnInvalidSchedule(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+	m := machine.New(sim.NewShards(1, 0), machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 	n := xnet.New(m, xnet.DefaultConfig())
 	r := charm.NewRTS(charm.Config{Machine: m, Net: n, Cores: []int{0, 1}})
 	defer func() {

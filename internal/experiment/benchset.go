@@ -107,8 +107,8 @@ func ShardedBench(shards int) NamedBench {
 // and ships work into the interference; the paper's O_p term (Eq. 2)
 // prevents exactly that.
 func AblationRun(strategy core.Strategy) float64 {
-	eng := sim.NewEngine()
-	mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	mach := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 	net := xnet.New(mach, xnet.DefaultConfig())
 	rts := charm.NewRTS(charm.Config{
 		Machine: mach, Net: net, Cores: []int{0, 1, 2, 3},
@@ -129,7 +129,7 @@ func AblationRun(strategy core.Strategy) float64 {
 	})
 	interfere.StartHog(mach, interfere.HogConfig{Core: 3, Start: 0})
 	rts.Start()
-	mustFinish(eng, rts.Finished, 1000)
+	mustFinish(sh, mach, rts.Finished, 1000)
 	return float64(rts.FinishTime())
 }
 
@@ -152,8 +152,8 @@ type SteadyIterBench struct {
 // transient, so the first timed StepOnce already runs on primed message
 // pools and armed threads.
 func NewSteadyIterBench() *SteadyIterBench {
-	eng := sim.NewEngine()
-	mach := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	mach := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 	net := xnet.New(mach, xnet.DefaultConfig())
 	rts := charm.NewRTS(charm.Config{
 		Machine: mach, Net: net, Cores: []int{0, 1, 2, 3}, Name: "steady",
@@ -165,7 +165,7 @@ func NewSteadyIterBench() *SteadyIterBench {
 		NewKernel: apps.NewWaveKernel(256, 128, 0.4),
 	})
 	rts.Start()
-	s := &SteadyIterBench{eng: eng, app: app}
+	s := &SteadyIterBench{eng: sh.Engine(0), app: app}
 	for i := 0; i < 8; i++ {
 		s.StepOnce()
 	}

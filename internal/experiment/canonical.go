@@ -287,9 +287,9 @@ func (c *canon) strs(name string, vs []string) {
 //   - The revocation schedule is sorted by (At, PE) and straggler node
 //     sets are sorted and deduplicated — order-insensitive inputs are
 //     order-insensitive in the hash.
-//   - Shards is excluded: the sharded scheduler is byte-identical to the
-//     classic engine at every shard count (make determinism), so the same
-//     scenario at -shards 1 and -shards 8 shares one cache entry.
+//   - Shards is excluded: results are byte-identical at every shard
+//     count (make determinism), so the same scenario at -shards 1 and
+//     -shards 8 shares one cache entry.
 func (sp Spec) CanonicalJSON() []byte {
 	sp = sp.normalized()
 	c := &canon{}

@@ -87,7 +87,7 @@ func traceHash(rec *trace.Recorder) uint64 {
 }
 
 // TestShardedDeterminism asserts that every shard count, at every
-// parallelism level, reproduces the single-engine run bit for bit:
+// parallelism level, reproduces the one-shard run bit for bit:
 // identical Result, identical comparable metrics, identical trace.
 func TestShardedDeterminism(t *testing.T) {
 	base, baseVals, baseHash := detRun(t, 1)
@@ -195,18 +195,19 @@ func (c *ringChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 	return 2e-6
 }
 
-// TestClassicScenarioSteadyStateAllocFree is the allocation gate for the
-// default single-engine path (-shards 1): once the pools are primed,
-// driving the runtime stack forward over the full testbed — cross-node
-// messages, NIC serialization, per-shard message pools and in-flight
-// accounting included — must not allocate. Application kernels own their
-// payload allocations and are deliberately outside the gate.
-func TestClassicScenarioSteadyStateAllocFree(t *testing.T) {
+// TestSingleShardScenarioSteadyStateAllocFree is the allocation gate for
+// the default one-shard scheduler path (-shards 1): once the pools are
+// primed, driving the runtime stack forward through Shards.RunUntil over
+// the full testbed — cross-node messages, NIC serialization, per-shard
+// message pools, in-flight accounting and the barrier hooks included —
+// must not allocate. Application kernels own their payload allocations
+// and are deliberately outside the gate.
+func TestSingleShardScenarioSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	eng := sim.NewEngine()
-	mach := testbed(eng, nil, testbedNodes, 0, nil)
+	sh := sim.NewShards(1, 0)
+	mach := testbed(sh, testbedNodes, 0, nil)
 	net := xnet.New(mach, xnet.DefaultConfig())
 	cores := make([]int, testbedCores)
 	for i := range cores {
@@ -221,11 +222,11 @@ func TestClassicScenarioSteadyStateAllocFree(t *testing.T) {
 		return &ringChare{next: charm.ChareID{Array: "ring", Index: (i + 1) % n}}
 	})
 	rts.Start()
-	if err := eng.RunUntil(0.5); err != nil {
+	if err := sh.RunUntil(0.5); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		if err := eng.RunUntil(eng.Now() + 0.01); err != nil {
+		if err := sh.RunUntil(sh.Now() + 0.01); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -218,12 +218,12 @@ type Scenario struct {
 	ObsTID int
 	// MaxVirtualTime bounds the simulation (default 10000 s).
 	MaxVirtualTime sim.Time
-	// Shards selects the event scheduler. 0 or 1 runs the classic
-	// single-engine simulation; N > 1 partitions the machine by node into
-	// N conservatively-synchronized shards executing in parallel (clamped
-	// to the node count); -1 means auto: one shard per node, capped at
-	// GOMAXPROCS. Every value produces byte-identical results — sharding
-	// is purely a wall-clock optimization.
+	// Shards selects the event scheduler's shard count. 0 or 1 runs one
+	// shard — the plain discrete-event engine; N > 1 partitions the
+	// machine by node into N conservatively-synchronized shards executing
+	// in parallel (clamped to the node count); -1 means auto: one shard
+	// per node, capped at GOMAXPROCS. Every value produces byte-identical
+	// results — sharding is purely a wall-clock optimization.
 	Shards int
 }
 
@@ -258,19 +258,14 @@ type Result struct {
 const testbedCores = 32
 
 // testbed returns the evaluation machine shape — nodes x 4 cores — driven
-// by the sharded scheduler when sh is non-nil and by the single engine
-// otherwise. The paper's testbed is testbedNodes nodes; the cloud-scale
+// by sh. The paper's testbed is testbedNodes nodes; the cloud-scale
 // scenarios grow the node count with the allocation.
-func testbed(eng *sim.Engine, sh *sim.Shards, nodes int, interactivityBonus float64, reg *metrics.Registry) *machine.Machine {
-	cfg := machine.Config{
+func testbed(sh *sim.Shards, nodes int, interactivityBonus float64, reg *metrics.Registry) *machine.Machine {
+	return machine.New(sh, machine.Config{
 		Nodes: nodes, CoresPerNode: 4, CoreSpeed: 1,
 		InteractivityBonus: interactivityBonus,
 		Metrics:            reg,
-	}
-	if sh != nil {
-		return machine.NewSharded(sh, cfg)
-	}
-	return machine.New(eng, cfg)
+	})
 }
 
 // testbedNodes is the testbed's node count — the upper bound on shards.
@@ -278,7 +273,7 @@ const testbedNodes = 8
 
 // ParseShards parses a -shards command-line value: "auto" (one shard per
 // node, capped at GOMAXPROCS) maps to -1, otherwise a non-negative count
-// (0 and 1 both select the classic single-engine scheduler).
+// (0 and 1 both select one shard).
 func ParseShards(v string) (int, error) {
 	if strings.EqualFold(v, "auto") {
 		return -1, nil
@@ -310,15 +305,26 @@ func ParseStraggle(v string) (nodes []int, factor float64, err error) {
 		nodes = append(nodes, n)
 	}
 	factor, err = strconv.ParseFloat(parts[1], 64)
-	if err != nil || factor <= 0 {
-		return nil, 0, fmt.Errorf("experiment: bad -straggle factor %q (must be positive)", parts[1])
+	if err != nil || !(factor > 0) || math.IsInf(factor, 0) {
+		return nil, 0, &StraggleFactorError{Value: parts[1]}
 	}
 	return nodes, factor, nil
 }
 
+// StraggleFactorError is ParseStraggle's error for a slowdown factor that
+// is not a finite positive number. NaN would stall every straggler link
+// and Inf would zero its bandwidth, so both are refused with the rest.
+type StraggleFactorError struct {
+	Value string // the FACTOR text as given
+}
+
+func (e *StraggleFactorError) Error() string {
+	return fmt.Sprintf("experiment: bad -straggle factor %q (must be a finite positive number)", e.Value)
+}
+
 // resolveShards maps the Scenario.Shards knob to a concrete shard count:
-// 0 or 1 keeps the classic single-engine path, -1 asks for one shard per
-// node capped at GOMAXPROCS, and anything else clamps into [1, nodes].
+// 0 or 1 is one shard, -1 asks for one shard per node capped at
+// GOMAXPROCS, and anything else clamps into [1, nodes].
 func resolveShards(v, nodes int) int {
 	if v == 0 || v == 1 {
 		return 1
@@ -367,40 +373,26 @@ func Run(s Scenario) Result {
 	netCfg := s.Net.Resolved()
 	nShards := resolveShards(s.Shards, nodes)
 
-	var (
-		eng *sim.Engine
-		sh  *sim.Shards
-	)
+	// Conservative lookahead = the minimum effective inter-node latency of
+	// this scenario's network: every cross-node delivery lands at least
+	// this far in the sender's future, which is what lets shards burn a
+	// window in parallel. xnet.New re-validates the invariant against the
+	// same config.
+	sh := sim.NewShards(nShards, sim.Time(netCfg.MinInterNodeLatency(nodes)))
+	defer sh.Close()
 	// A divergent model (e.g. a misconfigured workload that never drains)
 	// should fail loudly instead of spinning; real scenarios stay well
 	// under this limit.
-	if nShards > 1 {
-		// Conservative lookahead = the minimum effective inter-node
-		// latency of this scenario's network: every cross-node delivery
-		// lands at least this far in the sender's future, which is what
-		// lets shards burn a window in parallel. xnet.New re-validates the
-		// invariant against the same config.
-		sh = sim.NewShards(nShards, sim.Time(netCfg.MinInterNodeLatency(nodes)))
-		defer sh.Close()
-		sh.SetEventLimit(2_000_000_000)
-		sh.SetMetrics(s.Metrics)
-		eng = sh.Engine(0)
-		if len(s.Faults) > 0 {
-			// Elastic revoke/evacuate handlers reach across every shard.
-			sh.ForceSequential()
-		}
-		if s.Trace != nil {
-			s.Trace.SetConcurrent(true)
-		}
-	} else {
-		eng = sim.NewEngine()
-		eng.SetEventLimit(2_000_000_000)
-		eng.SetMetrics(
-			s.Metrics.Counter("sim_events_total", "Events dispatched by the simulation engine."),
-			s.Metrics.Gauge("sim_event_heap_depth_max", "High-water mark of the pending-event heap."),
-		)
+	sh.SetEventLimit(2_000_000_000)
+	sh.SetMetrics(s.Metrics)
+	if len(s.Faults) > 0 {
+		// Elastic revoke/evacuate handlers reach across every shard.
+		sh.ForceSequential()
 	}
-	mach := testbed(eng, sh, nodes, s.InteractivityBonus, s.Metrics)
+	if sh.Concurrent() {
+		s.Trace.SetConcurrent(true)
+	}
+	mach := testbed(sh, nodes, s.InteractivityBonus, s.Metrics)
 	net := xnet.New(mach, netCfg)
 	net.SetMetrics(s.Metrics)
 	if s.Obs != nil {
@@ -479,31 +471,22 @@ func Run(s Scenario) Result {
 	meter := power.NewMeter(mach, power.DefaultModel(), 1, meterNodes)
 	meter.Start()
 
-	// Under a sharded scheduler the finish callback fires at the first
-	// window barrier after the last Done — possibly past the finish
-	// instant — so the meter's final reading is reconstructed for the
-	// exact finish time from the busy logs instead of sampled "now".
+	// The meter's final reading is taken for the exact finish instant.
+	// With several shards the finish is consolidated at the first window
+	// barrier after the last Done — possibly past the finish instant — and
+	// the reading is reconstructed from the busy logs.
 	if appRTS != nil {
 		appRTS.Start()
-		if sh != nil {
-			app := appRTS
-			appRTS.SetOnAllDone(func() { meter.StopAsOf(app.FinishTime()) })
-		} else {
-			appRTS.SetOnAllDone(meter.Stop)
-		}
+		appRTS.SetOnAllDone(func() { meter.StopAsOf(appRTS.FinishTime()) })
 	}
 	if bg != nil {
 		// Jittered start: interference does not arrive at a barrier. The
 		// start touches cores on several shards, so it is a coordinator
-		// global event when sharded (plain engine event otherwise).
+		// global event.
 		offset := sim.Time(0.05 * rng.Float64())
 		mach.GlobalAt(offset, bg.Start)
 		if appRTS == nil {
-			if sh != nil {
-				bg.RTS.SetOnAllDone(func() { meter.StopAsOf(bg.FinishTime()) })
-			} else {
-				bg.RTS.SetOnAllDone(meter.Stop)
-			}
+			bg.RTS.SetOnAllDone(func() { meter.StopAsOf(bg.FinishTime()) })
 		}
 	}
 
@@ -517,28 +500,7 @@ func Run(s Scenario) Result {
 		return true
 	}
 	driveSpan := s.Obs.Start(obs.CatSim, "sim-drive", s.ObsTID)
-	if sh != nil {
-		for !finished() && sh.Now() < s.MaxVirtualTime {
-			if err := sh.RunUntil(sh.Now() + 1); err != nil {
-				panic(err)
-			}
-			mach.PublishMetrics()
-			// Finish times consolidate at the first barrier after they
-			// occur, so once a virtual second has fully drained the busy
-			// logs can be re-baselined to bound their memory.
-			mach.TrimBusyLogs()
-		}
-	} else {
-		for !finished() && eng.Now() < s.MaxVirtualTime {
-			if err := eng.RunUntil(eng.Now() + 1); err != nil {
-				panic(err)
-			}
-			// Publish per-core busy/idle from the owning goroutine so a live
-			// /metrics scrape sees them move without touching scheduler state.
-			mach.PublishMetrics()
-		}
-	}
-	if !finished() {
+	if !drive(sh, mach, finished, s.MaxVirtualTime) {
 		panic(fmt.Sprintf("experiment: scenario %+v did not finish by t=%v", s, s.MaxVirtualTime))
 	}
 	mach.PublishMetrics()
@@ -558,11 +520,7 @@ func Run(s Scenario) Result {
 	res.EnergyJ = meter.EnergyJoules()
 	res.NetDrops = net.Drops()
 	res.NetRetransmits = net.Retransmits()
-	if sh != nil {
-		res.Events = sh.Executed()
-	} else {
-		res.Events = eng.Executed()
-	}
+	res.Events = sh.Executed()
 	driveSpan.End("events", res.Events, "shards", nShards,
 		"virtual_s", finiteOrZero(res.AppWall), "lb_steps", res.LBSteps)
 	return res

@@ -174,15 +174,15 @@ func Fig1(scale float64) Fig1Result {
 	iters := scaleIters(waveIters, scale)
 	hogStart := sim.Time(perIter * float64(iters) / 3)
 
-	eng := sim.NewEngine()
-	mach := testbed(eng, nil, testbedNodes, 0, nil)
+	sh := sim.NewShards(1, 0)
+	mach := testbed(sh, testbedNodes, 0, nil)
 	net := newNet(mach)
 	cores := []int{0, 1, 2, 3}
 	rts := newAppRTS(mach, net, cores, NoLB, rec)
 	buildApp(rts, s, newRNG(s.Seed))
 	interfereHog(mach, 3, hogStart, 0, rec)
 	rts.Start()
-	mustFinish(eng, func() bool { return rts.Finished() }, 10000)
+	mustFinish(sh, mach, rts.Finished, 10000)
 	return Fig1Result{Trace: rec, HogStart: hogStart, AppFinish: rts.FinishTime(), Cores: cores}
 }
 
@@ -220,15 +220,15 @@ func Fig3(scale float64) Fig3Result {
 		Hog2Stop:  total * 7 / 8,
 		Cores:     []int{0, 1, 2, 3},
 	}
-	eng := sim.NewEngine()
-	mach := testbed(eng, nil, testbedNodes, 0, nil)
+	sh := sim.NewShards(1, 0)
+	mach := testbed(sh, testbedNodes, 0, nil)
 	net := newNet(mach)
 	rts := newAppRTS(mach, net, res.Cores, Refine, rec)
 	buildApp(rts, s, newRNG(s.Seed))
 	interfereHog(mach, 1, res.Hog1Start, res.Hog1Stop, rec)
 	interfereHog(mach, 3, res.Hog2Start, res.Hog2Stop, rec)
 	rts.Start()
-	mustFinish(eng, func() bool { return rts.Finished() }, 10000)
+	mustFinish(sh, mach, rts.Finished, 10000)
 	res.AppFinish = rts.FinishTime()
 	res.Migrations = rts.Migrations()
 	return res

@@ -40,14 +40,27 @@ func interfereHog(m *machine.Machine, coreID int, start, stop sim.Time, rec *tra
 	})
 }
 
-// mustFinish drives the engine until done() or the virtual deadline.
-func mustFinish(eng *sim.Engine, done func() bool, deadline sim.Time) {
-	for !done() && eng.Now() < deadline {
-		if err := eng.RunUntil(eng.Now() + 1); err != nil {
+// drive advances the simulation one virtual second at a time until done()
+// or the virtual deadline, and reports whether done() holds. After each
+// second it publishes per-core busy/idle from the driving goroutine (so a
+// live /metrics scrape never touches scheduler state) and, because finish
+// times consolidate at the first barrier after they occur, re-baselines
+// the busy logs to bound their memory.
+func drive(sh *sim.Shards, mach *machine.Machine, done func() bool, deadline sim.Time) bool {
+	for !done() && sh.Now() < deadline {
+		if err := sh.RunUntil(sh.Now() + 1); err != nil {
 			panic(err)
 		}
+		mach.PublishMetrics()
+		mach.TrimBusyLogs()
 	}
-	if !done() {
+	return done()
+}
+
+// mustFinish drives the simulation until done(), panicking if the virtual
+// deadline passes first.
+func mustFinish(sh *sim.Shards, mach *machine.Machine, done func() bool, deadline sim.Time) {
+	if !drive(sh, mach, done, deadline) {
 		panic(fmt.Sprintf("experiment: simulation did not finish by t=%v", deadline))
 	}
 }

@@ -52,7 +52,7 @@ type Spec struct {
 	Net xnet.Config `json:"net,omitzero"`
 
 	// Shards selects the event scheduler for every expanded scenario
-	// (see Scenario.Shards: 0/1 classic, N>1 sharded, -1 auto). It is an
+	// (see Scenario.Shards: 0/1 one shard, N>1 node shards, -1 auto). It is an
 	// execution knob, not part of the scenario description: results are
 	// byte-identical at every value, so CanonicalJSON and Hash exclude it.
 	Shards int `json:"shards,omitempty"`

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"cloudlb/internal/xnet"
@@ -126,8 +127,8 @@ func (sp Spec) Validate() error {
 		}
 	}
 	for i, f := range sp.StraggleFactors {
-		if f <= 0 {
-			add(fmt.Sprintf("straggle_factors[%d]", i), "must be > 0, got %v", f)
+		if !(f > 0) || math.IsInf(f, 0) {
+			add(fmt.Sprintf("straggle_factors[%d]", i), "must be finite and > 0, got %v", f)
 		}
 	}
 
@@ -179,8 +180,8 @@ func validateNet(cfg xnet.Config) []FieldError {
 			})
 		}
 	}
-	if cfg.StragglerFactor < 0 {
-		add("straggler_factor", "must be >= 0 (0 = default 1), got %v", cfg.StragglerFactor)
+	if !(cfg.StragglerFactor >= 0) || math.IsInf(cfg.StragglerFactor, 0) {
+		add("straggler_factor", "must be finite and >= 0 (0 = default 1), got %v", cfg.StragglerFactor)
 	}
 	if cfg.DropPct < 0 || cfg.DropPct >= 100 {
 		add("drop_pct", "must be in [0,100), got %v", cfg.DropPct)

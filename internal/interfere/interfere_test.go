@@ -11,8 +11,9 @@ import (
 )
 
 func testMachine(nodes, cores int) (*sim.Engine, *machine.Machine) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: nodes, CoresPerNode: cores, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: nodes, CoresPerNode: cores, CoreSpeed: 1})
 	return eng, m
 }
 

@@ -14,8 +14,9 @@ import (
 func TestGPSFairnessProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
-		eng := sim.NewEngine()
-		m := New(eng, Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
+		sh := sim.NewShards(1, 0)
+		eng := sh.Engine(0)
+		m := New(sh, Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
 		core := m.Core(0)
 		n := 2 + rng.Intn(4)
 		weights := make([]float64, n)
@@ -51,8 +52,9 @@ func TestGPSFairnessProperty(t *testing.T) {
 // TestWorkConservingProperty: a core with at least one runnable thread
 // delivers CPU at full speed; total delivered CPU equals busy time.
 func TestWorkConservingProperty(t *testing.T) {
-	eng := sim.NewEngine()
-	m := New(eng, Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := New(sh, Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
 	core := m.Core(0)
 	// One heavy and one intermittent thread.
 	a := m.NewThread("a", core, 1)

@@ -69,16 +69,13 @@ func DefaultConfig() Config {
 
 // Machine is a simulated cluster.
 type Machine struct {
-	eng   *sim.Engine
 	cfg   Config
 	nodes []*Node
 	cores []*Core // flattened, global core IDs
 
-	// shards is non-nil when the cluster is driven by a sharded scheduler:
-	// each node's cores then schedule on their shard's engine, and
-	// cross-cutting actors (power meter, churn) use GlobalAt. Nil in the
-	// classic single-engine configuration, which stays on exactly the old
-	// code path.
+	// shards drives the cluster: each node's cores schedule on their
+	// shard's engine, and cross-cutting actors (power meter, churn) use
+	// GlobalAt.
 	shards *sim.Shards
 
 	// metricsBusy/metricsIdle are the per-core gauges PublishMetrics
@@ -96,30 +93,13 @@ type Node struct {
 // Cores returns the node's cores in local order.
 func (n *Node) Cores() []*Core { return n.cores }
 
-// New builds a cluster. It panics on nonsensical configurations, because a
-// bad machine shape is always a programming error in this codebase.
-func New(eng *sim.Engine, cfg Config) *Machine {
-	if cfg.Nodes <= 0 || cfg.CoresPerNode <= 0 {
-		panic(fmt.Sprintf("machine: invalid shape %d nodes x %d cores", cfg.Nodes, cfg.CoresPerNode))
-	}
-	if cfg.CoreSpeed <= 0 {
-		panic("machine: core speed must be positive")
-	}
-	if cfg.InteractivityAlpha == 0 {
-		cfg.InteractivityAlpha = 0.25
-	}
-	m := &Machine{eng: eng, cfg: cfg}
-	m.build(func(int) *sim.Engine { return eng })
-	m.registerMetrics()
-	return m
-}
-
-// NewSharded builds a cluster driven by a sharded event scheduler. Nodes
-// are assigned to shards in contiguous blocks (node n of N on shard
-// n*S/N), and every core schedules exclusively on its node's shard engine.
-// The shard count must not exceed the node count: a node's cores share
-// NIC and scheduler state and can never be split.
-func NewSharded(sh *sim.Shards, cfg Config) *Machine {
+// New builds a cluster driven by the given scheduler. Nodes are assigned
+// to shards in contiguous blocks (node n of N on shard n*S/N), and every
+// core schedules exclusively on its node's shard engine. It panics on
+// nonsensical configurations, because a bad machine shape is always a
+// programming error in this codebase — including more shards than nodes:
+// a node's cores share NIC and scheduler state and can never be split.
+func New(sh *sim.Shards, cfg Config) *Machine {
 	if cfg.Nodes <= 0 || cfg.CoresPerNode <= 0 {
 		panic(fmt.Sprintf("machine: invalid shape %d nodes x %d cores", cfg.Nodes, cfg.CoresPerNode))
 	}
@@ -132,31 +112,16 @@ func NewSharded(sh *sim.Shards, cfg Config) *Machine {
 	if cfg.InteractivityAlpha == 0 {
 		cfg.InteractivityAlpha = 0.25
 	}
-	m := &Machine{eng: sh.Engine(0), cfg: cfg, shards: sh}
-	m.build(func(node int) *sim.Engine {
-		return sh.Engine(node * sh.NumShards() / cfg.Nodes)
-	})
-	m.registerMetrics()
-	return m
-}
-
-// build creates the node/core topology, pinning each core to the engine
-// engineOf assigns to its node.
-func (m *Machine) build(engineOf func(node int) *sim.Engine) {
-	cfg := m.cfg
+	m := &Machine{cfg: cfg, shards: sh}
 	for n := 0; n < cfg.Nodes; n++ {
 		node := &Node{ID: n}
-		eng := engineOf(n)
-		shard := 0
-		if m.shards != nil {
-			shard = n * m.shards.NumShards() / cfg.Nodes
-		}
+		shard := n * sh.NumShards() / cfg.Nodes
 		for c := 0; c < cfg.CoresPerNode; c++ {
 			core := &Core{
 				ID:     n*cfg.CoresPerNode + c,
 				node:   node,
 				m:      m,
-				eng:    eng,
+				eng:    sh.Engine(shard),
 				shard:  shard,
 				speed:  cfg.CoreSpeed,
 				online: true,
@@ -167,6 +132,8 @@ func (m *Machine) build(engineOf func(node int) *sim.Engine) {
 		}
 		m.nodes = append(m.nodes, node)
 	}
+	m.registerMetrics()
+	return m
 }
 
 func (m *Machine) registerMetrics() {
@@ -203,52 +170,29 @@ func (m *Machine) PublishMetrics() {
 	}
 }
 
-// Engine returns the driving simulation engine — the single engine in the
-// classic configuration, shard 0's engine under a sharded scheduler (use
-// EngineFor for per-core scheduling and GlobalAt for cross-shard actors).
-func (m *Machine) Engine() *sim.Engine { return m.eng }
-
-// Shards returns the sharded scheduler driving the cluster, or nil in the
-// single-engine configuration.
+// Shards returns the scheduler driving the cluster.
 func (m *Machine) Shards() *sim.Shards { return m.shards }
 
 // EngineFor returns the engine that owns the given core's events: the
-// core's shard engine, or the single engine when unsharded.
+// core's shard engine.
 func (m *Machine) EngineFor(coreID int) *sim.Engine { return m.cores[coreID].eng }
 
-// ShardOf reports which shard owns a core (always 0 when unsharded).
+// ShardOf reports which shard owns a core.
 func (m *Machine) ShardOf(coreID int) int { return m.cores[coreID].shard }
 
-// GlobalAt schedules fn at virtual time t in coordinator context: on the
-// single engine when unsharded, as a shard-coordinator global event (all
-// shards parked at t) otherwise. Cross-cutting actors that touch cores on
-// several shards — the power meter, cloud churn, background-job starts —
-// must schedule through this instead of a shard engine.
-func (m *Machine) GlobalAt(t sim.Time, fn func()) {
-	if m.shards == nil {
-		m.eng.At(t, fn)
-		return
-	}
-	m.shards.GlobalAt(t, fn)
-}
+// GlobalAt schedules fn at virtual time t in coordinator context (see
+// sim.Shards.GlobalAt): all shards are parked at t when it runs.
+// Cross-cutting actors that touch cores on several shards — the power
+// meter, cloud churn, background-job starts — must schedule through this
+// instead of a shard engine.
+func (m *Machine) GlobalAt(t sim.Time, fn func()) { m.shards.GlobalAt(t, fn) }
 
 // GlobalAfter schedules fn d seconds from now in coordinator context.
-func (m *Machine) GlobalAfter(d sim.Duration, fn func()) {
-	if m.shards == nil {
-		m.eng.After(d, fn)
-		return
-	}
-	m.shards.GlobalAfter(d, fn)
-}
+func (m *Machine) GlobalAfter(d sim.Duration, fn func()) { m.shards.GlobalAfter(d, fn) }
 
 // Now reports virtual time in coordinator context (between windows, inside
-// global events, or anywhere in the single-engine configuration).
-func (m *Machine) Now() sim.Time {
-	if m.shards == nil {
-		return m.eng.Now()
-	}
-	return m.shards.Now()
-}
+// global events, or anywhere with a single shard).
+func (m *Machine) Now() sim.Time { return m.shards.Now() }
 
 // Config returns the construction-time configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -281,8 +225,9 @@ func (m *Machine) NodeOf(coreID int) int { return coreID / m.cfg.CoresPerNode }
 
 // EnableBusyLog turns on busy logging for the given cores, seeding each
 // log with the current settled state. The power meter enables it (for the
-// cores it meters) under a sharded scheduler, so it can take its final
-// sample at an application finish time the shards have already run past.
+// cores it meters) when the scheduler is Concurrent, so it can take its
+// final sample at an application finish time the shards have already run
+// past.
 func (m *Machine) EnableBusyLog(coreIDs []int) {
 	for _, id := range coreIDs {
 		c := m.cores[id]

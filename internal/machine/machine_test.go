@@ -13,8 +13,9 @@ const tol = 1e-6
 func approx(a, b sim.Time) bool { return math.Abs(float64(a-b)) < tol }
 
 func newTestMachine(nodes, cores int) (*sim.Engine, *Machine) {
-	eng := sim.NewEngine()
-	m := New(eng, Config{Nodes: nodes, CoresPerNode: cores, CoreSpeed: 1.0})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := New(sh, Config{Nodes: nodes, CoresPerNode: cores, CoreSpeed: 1.0})
 	return eng, m
 }
 
@@ -52,7 +53,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 					t.Errorf("case %d: invalid config did not panic", i)
 				}
 			}()
-			New(sim.NewEngine(), cfg)
+			New(sim.NewShards(1, 0), cfg)
 		}()
 	}
 }
@@ -310,8 +311,9 @@ func TestMigrateRunningPanics(t *testing.T) {
 }
 
 func TestInteractivityBonusFavorsSleeper(t *testing.T) {
-	eng := sim.NewEngine()
-	m := New(eng, Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1, InteractivityBonus: 2, InteractivityAlpha: 0.5})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := New(sh, Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1, InteractivityBonus: 2, InteractivityAlpha: 0.5})
 	core := m.Core(0)
 	hog := m.NewThread("hog", core, 1)
 	napper := m.NewThread("napper", core, 1)
@@ -365,9 +367,10 @@ func TestCPUConservation(t *testing.T) {
 	// elapsed time.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
-		eng := sim.NewEngine()
+		sh := sim.NewShards(1, 0)
+		eng := sh.Engine(0)
 		speed := 0.5 + rng.Float64()*2
-		m := New(eng, Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: speed})
+		m := New(sh, Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: speed})
 		core := m.Core(0)
 		n := 1 + rng.Intn(5)
 		threads := make([]*Thread, n)

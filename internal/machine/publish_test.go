@@ -11,9 +11,10 @@ import (
 // nothing until PublishMetrics runs, then mirror ProcStat, and a Gather
 // never mutates scheduler state (it only reads the atomics).
 func TestPublishMetrics(t *testing.T) {
-	eng := sim.NewEngine()
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
 	reg := metrics.NewRegistry()
-	m := New(eng, Config{Nodes: 1, CoresPerNode: 2, CoreSpeed: 1, Metrics: reg})
+	m := New(sh, Config{Nodes: 1, CoresPerNode: 2, CoreSpeed: 1, Metrics: reg})
 	th := m.NewThread("a", m.Core(0), 1)
 	th.Run(2, func() {})
 	if err := eng.RunUntil(5); err != nil {

@@ -103,10 +103,11 @@ func (m *Meter) Start() {
 	m.running = true
 	m.lastAt = m.mach.Now()
 	m.startAt = m.lastAt
-	if m.mach.Shards() != nil {
-		// Under a sharded scheduler the final reading may be taken for an
+	if m.mach.Shards().Concurrent() {
+		// With several shards the final reading may be taken for an
 		// instant the shards have already run past (StopAsOf), so the
-		// metered cores keep busy logs for exact reconstruction.
+		// metered cores keep busy logs for exact reconstruction. A single
+		// shard stops the meter at the finish instant itself.
 		var ids []int
 		for _, n := range m.nodes {
 			for _, c := range m.mach.Node(n).Cores() {
@@ -128,9 +129,9 @@ func (m *Meter) Start() {
 }
 
 func (m *Meter) scheduleNext() {
-	// Samples touch cores on every metered node, so under a sharded
-	// scheduler they run as coordinator global events with all shards
-	// parked at the sample instant; unsharded this is a plain engine event.
+	// Samples touch cores on every metered node, so they run as
+	// coordinator global events with all shards parked at the sample
+	// instant.
 	m.mach.GlobalAfter(m.interval, func() {
 		if !m.running {
 			return
@@ -184,9 +185,10 @@ func (m *Meter) Stop() {
 
 // StopAsOf stops the meter with its final sample taken for the instant t,
 // which may lie before the shards' current clocks: the busy counters are
-// reconstructed from the logs Start enabled, yielding bit-identical values
-// to a Stop executed exactly at t. The sharded scenario runner uses it
-// when it consolidates an application finish at a window barrier.
+// reconstructed (Core.BusyAt, from the logs Start enabled when t precedes
+// a core's last settlement), yielding bit-identical values to a Stop
+// executed exactly at t. The scenario runner uses it for application
+// finishes, which several shards consolidate at a later window barrier.
 func (m *Meter) StopAsOf(t sim.Time) {
 	if !m.running {
 		return

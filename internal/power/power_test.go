@@ -31,8 +31,9 @@ func TestNodePowerClampsUtilization(t *testing.T) {
 }
 
 func TestMeterIdleMachine(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 2, CoresPerNode: 4, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 2, CoresPerNode: 4, CoreSpeed: 1})
 	meter := NewMeter(m, DefaultModel(), 1, nil)
 	meter.Start()
 	if err := eng.RunUntil(10); err != nil {
@@ -52,8 +53,9 @@ func TestMeterIdleMachine(t *testing.T) {
 }
 
 func TestMeterBusyCore(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 4, CoreSpeed: 1})
 	th := m.NewThread("hog", m.Core(0), 1)
 	var loop func()
 	loop = func() { th.Run(1, loop) }
@@ -76,8 +78,9 @@ func TestMeterBusyCore(t *testing.T) {
 }
 
 func TestMeterPartialUtilization(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
 	th := m.NewThread("half", m.Core(0), 1)
 	// 0.5 s burst then 0.5 s sleep, repeating: 50% utilization.
 	var loop func()
@@ -98,8 +101,9 @@ func TestMeterPartialUtilization(t *testing.T) {
 }
 
 func TestMeterSubsetOfNodes(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 4, CoresPerNode: 2, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 4, CoresPerNode: 2, CoreSpeed: 1})
 	meter := NewMeter(m, Model{BaseWatts: 10, DynamicWattsPerCore: 5}, 1, []int{1, 2})
 	meter.Start()
 	if err := eng.RunUntil(5); err != nil {
@@ -118,8 +122,9 @@ func TestMeterSubsetOfNodes(t *testing.T) {
 }
 
 func TestMeterStopTakesPartialSample(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
 	meter := NewMeter(m, Model{BaseWatts: 100, DynamicWattsPerCore: 0}, 1, nil)
 	meter.Start()
 	if err := eng.RunUntil(2.5); err != nil {
@@ -132,8 +137,9 @@ func TestMeterStopTakesPartialSample(t *testing.T) {
 }
 
 func TestMeterDoubleStartPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
 	meter := NewMeter(m, DefaultModel(), 1, nil)
 	meter.Start()
 	defer func() {
@@ -155,8 +161,9 @@ func TestSampleTotal(t *testing.T) {
 func TestEnergyEqualsIntegralUnderLoadChange(t *testing.T) {
 	// Load switches from 100% to 0% at t=5: energy must integrate both
 	// phases correctly.
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
 	th := m.NewThread("x", m.Core(0), 1)
 	th.Run(5, nil)
 	meter := NewMeter(m, Model{BaseWatts: 40, DynamicWattsPerCore: 60}, 1, nil)

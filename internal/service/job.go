@@ -113,7 +113,7 @@ func execute(ctx context.Context, req Request, reg *metrics.Registry, workers in
 	pool := &runner.Pool{Workers: workers, Progress: prog}
 	sp := req.Spec
 	// Shards is an execution knob excluded from the cache key; the
-	// service always runs the classic engine so the sharded scheduler's
+	// service always runs one shard so the multi-shard scheduler's
 	// host-time barrier series never leak into the metrics artifact.
 	sp.Shards = 0
 	return sp.Run(ctx, req.Method, experiment.Options{Executor: pool.Executor(), Metrics: reg})

@@ -1,9 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // All of the cluster, network, runtime and application models in this
-// repository are driven by a single Engine: virtual time only advances when
-// the engine dequeues the next scheduled event. Events scheduled for the
-// same instant fire in scheduling order (a monotone sequence number breaks
+// repository are driven by Shards, one Engine per shard; with a single
+// shard that is exactly one Engine. Virtual time only advances when an
+// engine dequeues the next scheduled event. Events scheduled for the same
+// instant fire in scheduling order (a monotone sequence number breaks
 // ties), so a simulation is exactly reproducible for identical inputs.
 package sim
 

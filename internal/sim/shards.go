@@ -45,6 +45,15 @@ import (
 //     quiescence detection, whose master-side handlers read state on every
 //     shard; it drops the demand when the last PE resumes, and the
 //     coordinator returns to parallel windows from that exact point.
+//
+// Shards is the only scheduler the model layers see. With a single shard
+// it is the plain discrete-event engine by construction: GlobalAt
+// schedules on that engine (globals and engine events at one timestamp
+// fire in scheduling order), RunUntil is Engine.RunUntil followed by the
+// barrier hooks, Now reads the engine clock, and there are no windows,
+// mailboxes or merged stepping — merged order is heap order. Concurrent
+// is the one predicate the model layers consult for behaviour that only
+// multiple shards need.
 type Shards struct {
 	engines   []*Engine
 	lookahead Time
@@ -182,13 +191,14 @@ func (h globalHeap) min() (Time, bool) {
 
 // NewShards creates n engines synchronized with the given lookahead: the
 // minimum virtual-time distance every Cross timestamp keeps ahead of its
-// sender. Lookahead must be positive — a zero-lookahead model cannot make
-// conservative progress.
+// sender. With n > 1 the lookahead must be positive — a zero-lookahead
+// model cannot make conservative progress. A single shard never opens a
+// window, so its lookahead is unused and may be zero.
 func NewShards(n int, lookahead Time) *Shards {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: shard count %d < 1", n))
 	}
-	if lookahead <= 0 {
+	if n > 1 && lookahead <= 0 {
 		panic(fmt.Sprintf("sim: lookahead %v must be positive", lookahead))
 	}
 	s := &Shards{
@@ -208,6 +218,14 @@ func NewShards(n int, lookahead Time) *Shards {
 // NumShards reports the number of shards.
 func (s *Shards) NumShards() int { return len(s.engines) }
 
+// Concurrent reports whether more than one shard exists, i.e. whether
+// model events may run on several goroutines inside a window and finish
+// instants may be observed only at a later barrier. It is the single
+// predicate that selects the multi-shard-only model behaviours (deferred
+// Done accounting in charm, busy logs in the power meter); with one shard
+// everything happens, and is observed, at its own instant.
+func (s *Shards) Concurrent() bool { return len(s.engines) > 1 }
+
 // Engine returns shard i's engine.
 func (s *Shards) Engine(i int) *Engine { return s.engines[i] }
 
@@ -215,8 +233,14 @@ func (s *Shards) Engine(i int) *Engine { return s.engines[i] }
 func (s *Shards) Lookahead() Time { return s.lookahead }
 
 // Now reports the coordinator clock: the common shard time at barriers and
-// the merged-mode frontier while sequential. Coordinator context only.
-func (s *Shards) Now() Time { return s.now }
+// the merged-mode frontier while sequential — or, with one shard, the
+// engine clock, also inside its events. Coordinator context only.
+func (s *Shards) Now() Time {
+	if !s.Concurrent() {
+		return s.engines[0].Now()
+	}
+	return s.now
+}
 
 // Executed reports the total number of fired events across all shards,
 // including coordinator global events.
@@ -236,21 +260,27 @@ func (s *Shards) SetEventLimit(n uint64) {
 	}
 }
 
-// SetMetrics registers the engine-level series plus per-shard counters
-// (events, windows, barrier wait) on reg. Passing nil is a no-op.
+// SetMetrics registers the engine-level series on reg, plus per-shard
+// counters (events, windows, barrier wait) when Concurrent. Passing nil is
+// a no-op.
 func (s *Shards) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	s.metEvents = reg.Counter("sim_events_total", "Total simulation events fired.")
+	s.metEvents = reg.Counter("sim_events_total", "Events dispatched by the simulation engine.")
 	s.metHeapDepth = reg.Gauge("sim_event_heap_depth_max", "High-water mark of the pending-event heap.")
+	for _, e := range s.engines {
+		e.SetMetrics(s.metEvents, s.metHeapDepth)
+	}
+	if !s.Concurrent() {
+		return
+	}
 	s.shardEvents = make([]*metrics.Counter, len(s.engines))
 	s.shardWindows = make([]*metrics.Counter, len(s.engines))
 	s.shardWait = make([]*metrics.FloatCounter, len(s.engines))
 	s.finishedAt = make([]time.Time, len(s.engines))
 	s.timed = true
-	for i, e := range s.engines {
-		e.SetMetrics(s.metEvents, s.metHeapDepth)
+	for i := range s.engines {
 		lbl := metrics.L("shard", fmt.Sprintf("%d", i))
 		s.shardEvents[i] = reg.Counter("sim_shard_events_total", "Events fired on this shard.", lbl)
 		s.shardWindows[i] = reg.Counter("sim_shard_windows_total", "Conservative windows this shard actively executed.", lbl)
@@ -260,11 +290,10 @@ func (s *Shards) SetMetrics(reg *metrics.Registry) {
 
 // SetObs attaches a job trace: each parallel window records a barrier-stall
 // span per shard that finished early enough to matter (>= 1ms of host time
-// spent waiting on the slowest shard), on the scenario's trace row. Nil
-// receiver and nil trace are no-ops, so the call can be wired
-// unconditionally.
+// spent waiting on the slowest shard), on the scenario's trace row. A nil
+// trace is a no-op, so the call can be wired unconditionally.
 func (s *Shards) SetObs(tr *obs.Trace, tid int) {
-	if s == nil || tr == nil {
+	if tr == nil {
 		return
 	}
 	s.obs = tr
@@ -330,8 +359,13 @@ func (s *Shards) Cross(src, dst int, at Time, fn func()) {
 
 // GlobalAt schedules fn as a coordinator global event at time t: every
 // shard will be parked at exactly t when it runs. Coordinator context only
-// (construction, global handlers, merged-mode events).
+// (construction, global handlers, merged-mode events). With one shard it
+// is a plain event on the engine.
 func (s *Shards) GlobalAt(t Time, fn func()) {
+	if !s.Concurrent() {
+		s.engines[0].At(t, fn)
+		return
+	}
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling global event at %v before now %v", t, s.now))
 	}
@@ -344,18 +378,24 @@ func (s *Shards) GlobalAfter(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	s.GlobalAt(s.now+d, fn)
+	s.GlobalAt(s.Now()+d, fn)
 }
 
 // RunUntil advances all shards to target, alternating conservative
 // parallel windows, merged-sequential phases and global events as the
-// model demands. On return every shard clock equals target.
+// model demands. On return every shard clock equals target. A single
+// shard runs its engine straight to target and then the barrier hooks.
 func (s *Shards) RunUntil(target Time) error {
 	if s.err != nil {
 		return s.err
 	}
 	if s.closed {
 		return fmt.Errorf("sim: RunUntil after Close")
+	}
+	if !s.Concurrent() {
+		s.err = s.engines[0].RunUntil(target)
+		s.runHooks()
+		return s.err
 	}
 	for {
 		s.drainMail()

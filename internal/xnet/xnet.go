@@ -52,6 +52,7 @@ package xnet
 
 import (
 	"fmt"
+	"math"
 
 	"cloudlb/internal/machine"
 	"cloudlb/internal/metrics"
@@ -251,8 +252,8 @@ func (c Config) validate(nodes int) {
 			panic("xnet: DropPct > 0 requires MaxAttempts >= 1 (use Config.Resolved for defaults)")
 		}
 	}
-	if len(c.StragglerNodes) > 0 && c.StragglerFactor <= 0 {
-		panic(fmt.Sprintf("xnet: straggler factor %v must be positive", c.StragglerFactor))
+	if len(c.StragglerNodes) > 0 && (!(c.StragglerFactor > 0) || math.IsInf(c.StragglerFactor, 0)) {
+		panic(fmt.Sprintf("xnet: straggler factor %v must be finite and positive", c.StragglerFactor))
 	}
 	for _, n := range c.StragglerNodes {
 		if n < 0 || n >= nodes {
@@ -284,7 +285,7 @@ func (c Config) validate(nodes int) {
 // lookahead (validated at construction).
 type Network struct {
 	mach *machine.Machine
-	sh   *sim.Shards // nil when unsharded
+	sh   *sim.Shards
 	cfg  Config
 
 	// linkLat/linkBW are the effective per-link parameters,
@@ -357,23 +358,19 @@ func (t *pairTable) get(src, dst int) *pairState {
 	return &t.state[i]
 }
 
-// New creates a network over the machine's cores. When the machine is
-// driven by a sharded scheduler it validates the conservative-lookahead
-// invariant: the scheduler's lookahead must not exceed the minimum
-// effective inter-node latency, or retransmitted and overridden-link
-// deliveries could land inside another shard's window.
+// New creates a network over the machine's cores. It validates the
+// conservative-lookahead invariant: the scheduler's lookahead must not
+// exceed the minimum effective inter-node latency, or retransmitted and
+// overridden-link deliveries could land inside another shard's window.
 func New(mach *machine.Machine, cfg Config) *Network {
 	cfg.validate(mach.NumNodes())
 	sh := mach.Shards()
-	shards := 1
-	if sh != nil {
-		shards = sh.NumShards()
-		if mach.NumNodes() > 1 {
-			if mn := cfg.MinInterNodeLatency(mach.NumNodes()); float64(sh.Lookahead()) > mn {
-				panic(fmt.Sprintf(
-					"xnet: shard lookahead %v exceeds the minimum effective inter-node latency %v; derive the lookahead from this network's resolved Config (Config.MinInterNodeLatency), not from a second copy of the defaults",
-					sh.Lookahead(), mn))
-			}
+	shards := sh.NumShards()
+	if mach.NumNodes() > 1 {
+		if mn := cfg.MinInterNodeLatency(mach.NumNodes()); float64(sh.Lookahead()) > mn {
+			panic(fmt.Sprintf(
+				"xnet: shard lookahead %v exceeds the minimum effective inter-node latency %v; derive the lookahead from this network's resolved Config (Config.MinInterNodeLatency), not from a second copy of the defaults",
+				sh.Lookahead(), mn))
 		}
 	}
 	nodes := mach.NumNodes()
@@ -585,12 +582,13 @@ func (n *Network) Send(srcCore, dstCore, bytes int, deliver func()) sim.Time {
 
 	n.messages[srcShard]++
 	n.bytesMoved[srcShard] += uint64(bytes)
-	if n.sh != nil {
+	// Shards never split a node, so only an inter-node delivery can cross
+	// shards, and then arrival >= now + effective latency >= now +
+	// lookahead: the coordinator's conservative window holds for every
+	// cross-shard delivery, retransmitted ones included (they only arrive
+	// later).
+	if srcNode != dstNode {
 		if dstShard := n.mach.ShardOf(dstCore); dstShard != srcShard {
-			// Inter-node by construction (shards never split a node), so
-			// arrival >= now + effective latency >= now + lookahead: the
-			// coordinator's conservative window holds for every cross-shard
-			// delivery, retransmitted ones included (they only arrive later).
 			n.sh.Cross(srcShard, dstShard, arrival, deliver)
 			return arrival
 		}

@@ -13,8 +13,9 @@ const tol = 1e-9
 
 func testNet(t *testing.T, cfg Config) (*sim.Engine, *Network) {
 	t.Helper()
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
 	return eng, New(m, cfg)
 }
 
@@ -116,8 +117,7 @@ func TestNegativeSizePanics(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
+	m := machine.New(sim.NewShards(1, 0), machine.Config{Nodes: 1, CoresPerNode: 1, CoreSpeed: 1})
 	bad := []Config{
 		{IntraNodeBandwidth: 0, InterNodeBandwidth: 1},
 		{IntraNodeBandwidth: 1, InterNodeBandwidth: 0},
@@ -254,8 +254,9 @@ func TestSeededDropsRetransmitTiming(t *testing.T) {
 		clean = 1.01 // xfer + lat
 		retry = 2.11 // xfer + rto + xfer + lat
 	)
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 8, CoresPerNode: 1, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 8, CoresPerNode: 1, CoreSpeed: 1})
 	n := New(m, cfg)
 	var late int
 	const msgs = 64
@@ -375,8 +376,7 @@ func TestIntraNodeNeverDrops(t *testing.T) {
 }
 
 func TestLossyConfigValidation(t *testing.T) {
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 2, CoresPerNode: 1, CoreSpeed: 1})
+	m := machine.New(sim.NewShards(1, 0), machine.Config{Nodes: 2, CoresPerNode: 1, CoreSpeed: 1})
 	base := Config{IntraNodeBandwidth: 1, InterNodeBandwidth: 1}
 	bad := []Config{}
 	for _, mut := range []func(*Config){
@@ -384,6 +384,8 @@ func TestLossyConfigValidation(t *testing.T) {
 		func(c *Config) { c.DropPct = 100 },
 		func(c *Config) { c.DropPct = 10 }, // no RTO / MaxAttempts
 		func(c *Config) { c.StragglerNodes = []int{0}; c.StragglerFactor = 0 },
+		func(c *Config) { c.StragglerNodes = []int{0}; c.StragglerFactor = math.NaN() },
+		func(c *Config) { c.StragglerNodes = []int{0}; c.StragglerFactor = math.Inf(1) },
 		func(c *Config) { c.StragglerNodes = []int{2}; c.StragglerFactor = 2 },
 		func(c *Config) { c.Links = []Link{{Src: 0, Dst: 2}} },
 		func(c *Config) { c.Links = []Link{{Src: 1, Dst: 1}} },
@@ -412,7 +414,7 @@ func TestLookaheadValidation(t *testing.T) {
 	build := func(lookahead sim.Time, cfg Config) (panicked bool) {
 		defer func() { panicked = recover() != nil }()
 		sh := sim.NewShards(2, lookahead)
-		m := machine.NewSharded(sh, machine.Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
+		m := machine.New(sh, machine.Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
 		New(m, cfg)
 		return false
 	}
@@ -439,8 +441,9 @@ func TestLookaheadValidation(t *testing.T) {
 // them in order.
 func TestNICSurvivesRevocation(t *testing.T) {
 	cfg := Config{InterNodeLatency: 0.01, InterNodeBandwidth: 1000, IntraNodeLatency: 0, IntraNodeBandwidth: 1}
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
+	sh := sim.NewShards(1, 0)
+	eng := sh.Engine(0)
+	m := machine.New(sh, machine.Config{Nodes: 2, CoresPerNode: 2, CoreSpeed: 1})
 	n := New(m, cfg)
 	var arrivals []sim.Time
 	note := func() { arrivals = append(arrivals, eng.Now()) }
