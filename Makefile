@@ -56,24 +56,29 @@ benchjson:
 # shard is the plain engine: scheduling order, clock, event counts, hooks,
 # metric series) must hold, the same scenario at shards {1,2,4,8} x
 # GOMAXPROCS {1,4} under the race detector must produce an identical
-# Result, metric snapshot and trace hash, the runtime's O(1) AtSync
-# counters must match the reference recount at shards 1 and 2, and both
-# the one-shard (-shards 1) runtime path and the Wave2D stencil superstep
-# must stay allocation-free in steady state. The alloc gates run without
-# -race (instrumentation perturbs allocation counts); -count=1 defeats
-# the test cache so the gates always execute.
+# Result, metric snapshot and trace hash, and so must Mol3D at shards
+# {1,2,8} (its cells hand neighbors pointers into reused buffers), the
+# runtime's O(1) AtSync counters must match the reference recount at
+# shards 1 and 2, and the one-shard (-shards 1) runtime path, the Wave2D
+# stencil superstep and the Mol3D iteration must stay allocation-free in
+# steady state. The alloc gates run without -race (instrumentation
+# perturbs allocation counts); -count=1 defeats the test cache so the
+# gates always execute.
 determinism:
 	$(GO) test -race -count=1 -run 'TestSingleShard|TestNewShardsValidation' ./internal/sim
-	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestShardsAutoResolve' ./internal/experiment
+	$(GO) test -race -count=1 -run 'TestShardedDeterminism|TestDiffusionShardedDeterminism|TestMol3DShardedDeterminism|TestShardsAutoResolve' ./internal/experiment
 	$(GO) test -race -count=1 -run 'TestSlotCounterOracle' ./internal/charm
 	$(GO) test -count=1 -run 'TestSingleShardScenarioSteadyStateAllocFree|TestStencilSteadyStateAllocFree' ./internal/experiment
+	$(GO) test -count=1 -run 'TestMol3DSteadyStateAllocFree' ./internal/apps
 
 # Fuzz smoke: a few seconds of native fuzzing per target on top of the
 # committed seed corpora (testdata/fuzz/, which plain `go test` already
-# replays): the padded stencil kernels against their reference, and the
-# -shards and -straggle flag parsers. Longer campaigns: raise -fuzztime.
+# replays): the padded stencil kernels and the slot-indexed MD chare
+# against their references, and the -shards and -straggle flag parsers.
+# Longer campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelStep$$' -fuzztime=3s ./internal/apps
+	$(GO) test -run '^$$' -fuzz '^FuzzMDStep$$' -fuzztime=3s ./internal/apps
 	$(GO) test -run '^$$' -fuzz '^FuzzParseShards$$' -fuzztime=3s ./internal/experiment
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStraggle$$' -fuzztime=3s ./internal/experiment
 

@@ -83,18 +83,29 @@ func TestQuickWaveSuperposition(t *testing.T) {
 	}
 }
 
+// ljPair is the pair-force evaluation of the MD loops: the cutoff test,
+// then the force factor times the separation.
+func ljPair(lj ljConst, a, b Particle) (fx, fy, fz float64, ok bool) {
+	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
+	r2 := dx*dx + dy*dy + dz*dz
+	if r2 >= lj.rc2 || r2 == 0 {
+		return 0, 0, 0, false
+	}
+	f := lj.scale(r2)
+	return f * dx, f * dy, f * dz, true
+}
+
 // Property: the pair force is antisymmetric — what a exerts on b is the
 // negation of what b exerts on a (Newton's third law, which the MD code
 // relies on for own-own pairs).
 func TestQuickLJForceAntisymmetric(t *testing.T) {
 	cfg := Mol3DConfig{Epsilon: 1, Sigma: 0.25, CellSize: 1, Cutoff: 1}
-	app := &Mol3DApp{cfg: cfg.withDefaults()}
-	cell := &mdChare{app: app}
+	lj := newLJConst(cfg.withDefaults())
 	f := func(ax, ay, az, bx, by, bz int16) bool {
 		a := Particle{X: float64(ax) / 8192, Y: float64(ay) / 8192, Z: float64(az) / 8192}
 		b := Particle{X: float64(bx) / 8192, Y: float64(by) / 8192, Z: float64(bz) / 8192}
-		fx1, fy1, fz1, ok1 := cell.ljForce(a, b, 1)
-		fx2, fy2, fz2, ok2 := cell.ljForce(b, a, 1)
+		fx1, fy1, fz1, ok1 := ljPair(lj, a, b)
+		fx2, fy2, fz2, ok2 := ljPair(lj, b, a)
 		if ok1 != ok2 {
 			return false
 		}
@@ -111,14 +122,12 @@ func TestQuickLJForceAntisymmetric(t *testing.T) {
 // Property: the pair force is zero at or beyond the cutoff.
 func TestQuickLJForceCutoff(t *testing.T) {
 	cfg := Mol3DConfig{Epsilon: 1, Sigma: 0.25, CellSize: 1, Cutoff: 0.5}
-	app := &Mol3DApp{cfg: cfg.withDefaults()}
-	cell := &mdChare{app: app}
-	rc2 := 0.25
+	lj := newLJConst(cfg.withDefaults())
 	f := func(d uint16) bool {
 		dist := 0.5 + float64(d)/65536 // >= cutoff
 		a := Particle{}
 		b := Particle{X: dist}
-		_, _, _, ok := cell.ljForce(a, b, rc2)
+		_, _, _, ok := ljPair(lj, a, b)
 		return !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

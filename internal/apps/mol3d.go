@@ -85,13 +85,21 @@ func (c *Mol3DConfig) withDefaults() Mol3DConfig {
 // Mol3DApp wires the MD application into a runtime.
 type Mol3DApp struct {
 	cfg    Mol3DConfig
-	rts    *charm.RTS
+	lj     ljConst
 	chares []*mdChare
 }
 
 // NewMol3DApp registers the cell array on the runtime. Call before
 // rts.Start.
 func NewMol3DApp(rts *charm.RTS, cfg Mol3DConfig) *Mol3DApp {
+	app := newMol3D(cfg)
+	rts.NewArray(app.cfg.Array, len(app.chares), func(i int) charm.Chare { return app.chares[i] })
+	return app
+}
+
+// newMol3D validates the configuration and builds every cell chare with
+// its initial particles, neighbor slots and exchange buffers.
+func newMol3D(cfg Mol3DConfig) *Mol3DApp {
 	c := cfg.withDefaults()
 	if c.CellsX <= 0 || c.CellsY <= 0 || c.CellsZ <= 0 {
 		panic("apps: invalid cell decomposition")
@@ -99,13 +107,28 @@ func NewMol3DApp(rts *charm.RTS, cfg Mol3DConfig) *Mol3DApp {
 	if c.Iters <= 0 {
 		panic("apps: iterations must be positive")
 	}
-	app := &Mol3DApp{cfg: c}
-	app.rts = rts
-	n := c.CellsX * c.CellsY * c.CellsZ
-	app.chares = make([]*mdChare, n)
+	app := &Mol3DApp{cfg: c, lj: newLJConst(c)}
+	perCell := app.initialParticles()
+	app.chares = make([]*mdChare, len(perCell))
+	for i := range app.chares {
+		ch := &mdChare{app: app, index: i, own: perCell[i], sent: -1}
+		ch.cx, ch.cy, ch.cz = app.cellCoords(i)
+		ch.nbrs = ch.neighbors()
+		for p := range ch.inbox {
+			ch.inbox[p].msgs = make([]*posMsg, len(ch.nbrs))
+			ch.outbox[p].msgs = make([]posMsg, len(ch.nbrs))
+			ch.outbox[p].movers = make([][]Particle, len(ch.nbrs))
+		}
+		app.chares[i] = ch
+	}
+	return app
+}
 
-	// Generate all particles deterministically, then bucket per cell.
-	perCell := make([][]Particle, n)
+// initialParticles generates all particles deterministically from the
+// seed and buckets them per cell.
+func (a *Mol3DApp) initialParticles() [][]Particle {
+	c := &a.cfg
+	perCell := make([][]Particle, c.CellsX*c.CellsY*c.CellsZ)
 	rng := rand.New(rand.NewSource(c.Seed))
 	lx := float64(c.CellsX) * c.CellSize
 	ly := float64(c.CellsY) * c.CellSize
@@ -128,22 +151,10 @@ func NewMol3DApp(rts *charm.RTS, cfg Mol3DConfig) *Mol3DApp {
 		p.VX = rng.NormFloat64() * 0.1
 		p.VY = rng.NormFloat64() * 0.1
 		p.VZ = rng.NormFloat64() * 0.1
-		ci := app.cellOf(p.X, p.Y, p.Z)
+		ci := a.cellOf(p.X, p.Y, p.Z)
 		perCell[ci] = append(perCell[ci], p)
 	}
-
-	rts.NewArray(c.Array, n, func(i int) charm.Chare {
-		ch := &mdChare{
-			app: app, index: i,
-			own:    perCell[i],
-			buf:    make(map[int]map[int]posMsg),
-			outbox: make(map[int][]Particle),
-		}
-		ch.cx, ch.cy, ch.cz = app.cellCoords(i)
-		app.chares[i] = ch
-		return ch
-	})
-	return app
+	return perCell
 }
 
 func clamp(v, lo, hi float64) float64 {
@@ -189,19 +200,24 @@ func clampInt(v, lo, hi int) int {
 
 // Particles gathers every particle in the system, sorted by ID (for tests
 // and analysis after the run). Particles in transit between cells (in an
-// outbox at the end of the run) belong to the system and are included;
-// the departed list is excluded, as it only mirrors outbox/own entries.
+// unsent outbox at the end of the run or at an AtSync point) belong to
+// the system and are included; the departed list is excluded, as it only
+// mirrors outbox/own entries.
 func (a *Mol3DApp) Particles() []Particle {
 	var all []Particle
 	for _, c := range a.chares {
 		all = append(all, c.own...)
-		for _, out := range c.outbox {
-			all = append(all, out...)
+		if c.sent != c.iter {
+			for _, mv := range c.outbox[c.iter&1].movers {
+				all = append(all, mv...)
+			}
 		}
 	}
-	slices.SortFunc(all, func(a, b Particle) int { return a.ID - b.ID })
+	slices.SortFunc(all, byID)
 	return all
 }
+
+func byID(a, b Particle) int { return a.ID - b.ID }
 
 // CellCount returns the number of particles currently in cell i.
 func (a *Mol3DApp) CellCount(i int) int { return len(a.chares[i].own) }
@@ -212,6 +228,9 @@ func (a *Mol3DApp) NumCells() int { return len(a.chares) }
 // Iterations returns the completed iteration count of cell i.
 func (a *Mol3DApp) Iterations(i int) int { return a.chares[i].iter }
 
+// posMsg carries one cell's ghost positions and the particles handed to
+// the receiver for one iteration. It travels as a pointer into the
+// sender's outbox, so a send boxes nothing.
 type posMsg struct {
 	Iter   int
 	From   int
@@ -219,15 +238,44 @@ type posMsg struct {
 	Movers []Particle
 }
 
+// mdInbox collects the position messages received for one iteration,
+// indexed by neighbor slot; a nil entry has not arrived yet.
+type mdInbox struct {
+	msgs []*posMsg
+	n    int
+}
+
+// mdOutbox holds what a cell sends for one iteration: the particles
+// departing to each neighbor slot, the ID-sorted ghost export shared by
+// every slot, and one message per slot.
+type mdOutbox struct {
+	movers [][]Particle
+	export []Particle
+	msgs   []posMsg
+}
+
+// mdChare runs one cell.
+//
+// Neighbor slots index the cell's ascending neighbor list, fixed at
+// construction. Exchange buffers are two-deep and indexed by
+// iteration&1, as the stencil's edge rings are (DESIGN.md §15, §17): a
+// neighbor runs at most one iteration ahead, so only iterations iter and
+// iter+1 can be pending in the inbox. outbox[p] is refilled for
+// iteration k+2 only from this cell's step k+1 on (movers during the
+// step, export and messages after it); that step needs every neighbor's
+// k+1 message, which each neighbor sent only after its own step k had
+// read this cell's iteration-k export and movers.
 type mdChare struct {
 	app        *Mol3DApp
 	index      int
 	cx, cy, cz int
 	own        []Particle
 	iter       int
-	atSync     bool                   // between AtSync and Resume; no stepping
-	buf        map[int]map[int]posMsg // iter -> from -> msg
-	outbox     map[int][]Particle     // neighbor index -> particles departing there
+	atSync     bool  // between AtSync and Resume; no stepping
+	nbrs       []int // neighbor cell indices, ascending; slot s is nbrs[s]
+	inbox      [2]mdInbox
+	outbox     [2]mdOutbox
+	sent       int // last iteration whose positions were sent (-1 before Start)
 	// departed holds last integration's leavers for one more iteration:
 	// while the destination cell cannot yet export them (its position
 	// messages left before the handover arrived), this cell computes the
@@ -241,7 +289,7 @@ type mdChare struct {
 func (c *mdChare) PackSize() int { return 48*len(c.own) + 512 }
 
 // neighbors returns the cell indices of the up-to-26 adjacent cells, in
-// ascending order for determinism.
+// ascending order for determinism. It runs once, at construction.
 func (c *mdChare) neighbors() []int {
 	var ns []int
 	for dz := -1; dz <= 1; dz++ {
@@ -264,6 +312,16 @@ func (c *mdChare) neighbors() []int {
 	return ns
 }
 
+// slot returns the neighbor slot of cell ci, or -1 if ci is not adjacent.
+func (c *mdChare) slot(ci int) int {
+	for s, ni := range c.nbrs {
+		if ni == ci {
+			return s
+		}
+	}
+	return -1
+}
+
 // Recv implements charm.Chare.
 func (c *mdChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 	switch m := data.(type) {
@@ -271,16 +329,21 @@ func (c *mdChare) Recv(ctx *charm.Ctx, data interface{}) float64 {
 		c.atSync = false
 		c.sendPositions(ctx)
 		return c.drainReady(ctx)
-	case posMsg:
-		bucket, ok := c.buf[m.Iter]
-		if !ok {
-			bucket = make(map[int]posMsg)
-			c.buf[m.Iter] = bucket
+	case *posMsg:
+		if m.Iter != c.iter && m.Iter != c.iter+1 {
+			panic(fmt.Sprintf("apps: cell %d at iteration %d got a posMsg for iteration %d from cell %d; neighbors run at most one iteration ahead",
+				c.index, c.iter, m.Iter, m.From))
 		}
-		if _, dup := bucket[m.From]; dup {
+		s := c.slot(m.From)
+		if s < 0 {
+			panic(fmt.Sprintf("apps: cell %d got a posMsg from non-neighbor cell %d", c.index, m.From))
+		}
+		box := &c.inbox[m.Iter&1]
+		if box.msgs[s] != nil {
 			panic(fmt.Sprintf("apps: duplicate posMsg iter=%d from=%d at cell %d", m.Iter, m.From, c.index))
 		}
-		bucket[m.From] = m
+		box.msgs[s] = m
+		box.n++
 		return c.drainReady(ctx)
 	case charm.ReductionResult:
 		return 0
@@ -294,13 +357,13 @@ func (c *mdChare) drainReady(ctx *charm.Ctx) float64 {
 		if c.atSync || c.iter >= c.app.cfg.Iters {
 			return cost
 		}
-		bucket := c.buf[c.iter]
-		neighbors := c.neighbors()
-		if len(bucket) != len(neighbors) {
+		box := &c.inbox[c.iter&1]
+		if box.n != len(c.nbrs) {
 			return cost
 		}
-		delete(c.buf, c.iter)
-		cost += c.computeStep(neighbors, bucket)
+		cost += c.computeStep(box.msgs)
+		clear(box.msgs)
+		box.n = 0
 		c.iter++
 
 		switch {
@@ -319,7 +382,8 @@ func (c *mdChare) drainReady(ctx *charm.Ctx) float64 {
 
 // computeStep adopts inbound movers, evaluates forces against own, ghost
 // and recently-departed particles, integrates, and sorts departures into
-// the outbox. It returns the CPU cost of the work performed.
+// the outbox of the next iteration. in holds this iteration's message
+// from every neighbor slot. It returns the CPU cost of the work performed.
 //
 // Pair coverage invariant: every particle pair within the cutoff is
 // evaluated exactly once per side per iteration. Adopted movers also
@@ -330,91 +394,81 @@ func (c *mdChare) drainReady(ctx *charm.Ctx) float64 {
 // because the destination's exports for this iteration predate the
 // handover. This requires a skin: particles may penetrate at most
 // CellSize - Cutoff into the next cell per step, which is asserted below.
-func (c *mdChare) computeStep(neighbors []int, bucket map[int]posMsg) float64 {
+//
+// own's order is the own-own summation order and is never sorted. Every
+// force is accumulated in the order and association DESIGN.md §17 fixes:
+// floating-point addition is not associative, and the committed results
+// depend on the low bits.
+func (c *mdChare) computeStep(in []*posMsg) float64 {
 	cfg := &c.app.cfg
-	// Adopt movers in deterministic neighbor order, remembering their IDs
-	// so the same particles in the sender's ghost list are skipped.
-	adopted := make(map[int]map[int]bool)
-	for _, from := range neighbors {
-		mv := bucket[from].Movers
-		if len(mv) == 0 {
-			continue
-		}
-		ids := make(map[int]bool, len(mv))
-		for _, p := range mv {
-			ids[p.ID] = true
-		}
-		adopted[from] = ids
-		c.own = append(c.own, mv...)
+	// Adopt movers in slot (ascending neighbor) order.
+	for _, m := range in {
+		c.own = append(c.own, m.Movers...)
 	}
-	n := len(c.own)
+	own := c.own
+	n := len(own)
 	c.fx = resize(c.fx, n)
 	c.fy = resize(c.fy, n)
 	c.fz = resize(c.fz, n)
+	fx, fy, fz := c.fx, c.fy, c.fz
 
-	rc2 := cfg.Cutoff * cfg.Cutoff
-	pairs := 0
-	// Own-own pairs, Newton's third law applied.
+	lj := c.app.lj
+	// Own-own pairs, Newton's third law applied. Each pair force is
+	// rounded (float64) before it is accumulated, so a compiler that
+	// fuses multiply-adds cannot merge f*dx into a sum (DESIGN.md §17).
+	pairs := n * (n - 1) / 2
 	for i := 0; i < n; i++ {
+		xi, yi, zi := own[i].X, own[i].Y, own[i].Z
+		fxi, fyi, fzi := fx[i], fy[i], fz[i]
 		for j := i + 1; j < n; j++ {
-			pairs++
-			fx, fy, fz, ok := c.ljForce(c.own[i], c.own[j], rc2)
-			if !ok {
+			dx := xi - own[j].X
+			dy := yi - own[j].Y
+			dz := zi - own[j].Z
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 >= lj.rc2 || r2 == 0 {
 				continue
 			}
-			c.fx[i] += fx
-			c.fy[i] += fy
-			c.fz[i] += fz
-			c.fx[j] -= fx
-			c.fy[j] -= fy
-			c.fz[j] -= fz
+			f := lj.scale(r2)
+			px, py, pz := float64(f*dx), float64(f*dy), float64(f*dz)
+			fxi += px
+			fyi += py
+			fzi += pz
+			fx[j] -= px
+			fy[j] -= py
+			fz[j] -= pz
 		}
+		fx[i], fy[i], fz[i] = fxi, fyi, fzi
 	}
 	// Own-ghost pairs, one-sided (the neighbor computes its own side).
-	for _, from := range neighbors {
-		skip := adopted[from]
-		for _, g := range bucket[from].Ghost {
-			if skip[g.ID] {
+	for _, m := range in {
+		for gi := range m.Ghost {
+			g := &m.Ghost[gi]
+			if adopted(m.Movers, g.ID) {
 				continue
 			}
-			for i := 0; i < n; i++ {
-				pairs++
-				fx, fy, fz, ok := c.ljForce(c.own[i], g, rc2)
-				if !ok {
-					continue
-				}
-				c.fx[i] += fx
-				c.fy[i] += fy
-				c.fz[i] += fz
-			}
+			pairs += n
+			c.addForces(g.X, g.Y, g.Z, &lj)
 		}
 	}
 	// Recently-departed particles: their new owner cannot export them yet,
 	// so this cell supplies the force they exert on its remaining
 	// particles (the owner computes the mirror side from our ghost).
-	for _, d := range c.departed {
-		for i := 0; i < n; i++ {
-			pairs++
-			fx, fy, fz, ok := c.ljForce(c.own[i], d, rc2)
-			if !ok {
-				continue
-			}
-			c.fx[i] += fx
-			c.fy[i] += fy
-			c.fz[i] += fz
-		}
+	for di := range c.departed {
+		d := &c.departed[di]
+		pairs += n
+		c.addForces(d.X, d.Y, d.Z, &lj)
 	}
-	c.departed = nil
+	c.departed = c.departed[:0]
 
 	// Leapfrog with reflecting walls.
 	lx := float64(cfg.CellsX) * cfg.CellSize
 	ly := float64(cfg.CellsY) * cfg.CellSize
 	lz := float64(cfg.CellsZ) * cfg.CellSize
-	for i := range c.own {
-		p := &c.own[i]
-		p.VX += c.fx[i] * cfg.Dt
-		p.VY += c.fy[i] * cfg.Dt
-		p.VZ += c.fz[i] * cfg.Dt
+	for i := range own {
+		p := &own[i]
+		p.VX += fx[i] * cfg.Dt
+		p.VY += fy[i] * cfg.Dt
+		p.VZ += fz[i] * cfg.Dt
 		p.X += p.VX * cfg.Dt
 		p.Y += p.VY * cfg.Dt
 		p.Z += p.VZ * cfg.Dt
@@ -424,27 +478,63 @@ func (c *mdChare) computeStep(neighbors []int, bucket map[int]posMsg) float64 {
 	}
 
 	// Sort departures into the outbox for the next exchange.
+	out := &c.outbox[(c.iter+1)&1]
+	for s := range out.movers {
+		out.movers[s] = out.movers[s][:0]
+	}
 	skin := cfg.CellSize - cfg.Cutoff
-	kept := c.own[:0]
-	for _, p := range c.own {
+	kept := own[:0]
+	for _, p := range own {
 		dest := c.app.cellOf(p.X, p.Y, p.Z)
 		if dest == c.index {
 			kept = append(kept, p)
 			continue
 		}
-		dx, dy, dz := c.app.cellCoords(dest)
-		if abs(dx-c.cx) > 1 || abs(dy-c.cy) > 1 || abs(dz-c.cz) > 1 {
+		s := c.slot(dest)
+		if s < 0 {
 			panic(fmt.Sprintf("apps: particle %d crossed more than one cell per step (dt too large)", p.ID))
 		}
 		if d := c.penetration(p); d > skin+1e-12 {
 			panic(fmt.Sprintf("apps: particle %d penetrated %.4g past its cell, beyond the %.4g skin (reduce dt or cutoff)", p.ID, d, skin))
 		}
-		c.outbox[dest] = append(c.outbox[dest], p)
+		out.movers[s] = append(out.movers[s], p)
 		c.departed = append(c.departed, p)
 	}
 	c.own = kept
 
 	return float64(pairs)*cfg.CostPerPair + float64(n)*cfg.CostPerParticle
+}
+
+// addForces adds the force a particle at (x, y, z) exerts on every own
+// particle, one-sided, rounding each pair force as computeStep does.
+func (c *mdChare) addForces(x, y, z float64, lj *ljConst) {
+	own := c.own
+	fx, fy, fz := c.fx[:len(own)], c.fy[:len(own)], c.fz[:len(own)]
+	for i := range own {
+		dx := own[i].X - x
+		dy := own[i].Y - y
+		dz := own[i].Z - z
+		r2 := dx*dx + dy*dy + dz*dz
+		if r2 >= lj.rc2 || r2 == 0 {
+			continue
+		}
+		f := lj.scale(r2)
+		fx[i] += float64(f * dx)
+		fy[i] += float64(f * dy)
+		fz[i] += float64(f * dz)
+	}
+}
+
+// adopted reports whether a ghost is one of the movers its sender handed
+// to this cell in the same message (0-2 per neighbor per step, so a
+// linear scan beats any set).
+func adopted(movers []Particle, id int) bool {
+	for i := range movers {
+		if movers[i].ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // penetration reports how far a particle sits outside this cell's box.
@@ -466,22 +556,17 @@ func (c *mdChare) penetration(p Particle) float64 {
 	return d
 }
 
+// resize returns s zeroed at length n, growing it with headroom so that a
+// cell whose population creeps up does not reallocate every step.
 func resize(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]float64, n, 2*n)
 	}
 	s = s[:n]
 	for i := range s {
 		s[i] = 0
 	}
 	return s
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func reflect(x, v *float64, l float64) {
@@ -500,45 +585,56 @@ func reflect(x, v *float64, l float64) {
 	}
 }
 
-// ljForce returns the Lennard-Jones force of b on a, truncated at rc2 and
-// softened at very short range to keep random initial conditions stable.
-func (c *mdChare) ljForce(a, b Particle, rc2 float64) (fx, fy, fz float64, ok bool) {
-	dx := a.X - b.X
-	dy := a.Y - b.Y
-	dz := a.Z - b.Z
-	r2 := dx*dx + dy*dy + dz*dz
-	if r2 >= rc2 || r2 == 0 {
-		return 0, 0, 0, false
+// ljConst holds the Lennard-Jones constants of a run, folded once from
+// the configuration.
+type ljConst struct {
+	rc2   float64 // cutoff squared
+	minR2 float64 // softening radius 0.8σ, squared
+	sig2  float64 // σ²
+	eps24 float64 // 24ε
+}
+
+func newLJConst(cfg Mol3DConfig) ljConst {
+	return ljConst{
+		rc2:   cfg.Cutoff * cfg.Cutoff,
+		minR2: 0.64 * cfg.Sigma * cfg.Sigma,
+		sig2:  cfg.Sigma * cfg.Sigma,
+		eps24: 24 * cfg.Epsilon,
 	}
-	sigma := c.app.cfg.Sigma
-	minR2 := 0.64 * sigma * sigma // softening radius 0.8σ
-	if r2 < minR2 {
-		r2 = minR2
+}
+
+// scale returns the truncated Lennard-Jones force factor f for a pair at
+// squared distance r2 inside the cutoff: the force on a from b is f times
+// the separation a-b. Pairs closer than 0.8σ are softened to that radius
+// to keep random initial conditions stable. The expression is evaluated
+// in a fixed order (DESIGN.md §17) and must stay inlinable.
+func (k *ljConst) scale(r2 float64) float64 {
+	if r2 < k.minR2 {
+		r2 = k.minR2
 	}
-	s2 := sigma * sigma / r2
+	s2 := k.sig2 / r2
 	s6 := s2 * s2 * s2
-	f := 24 * c.app.cfg.Epsilon * (2*s6*s6 - s6) / r2
-	return f * dx, f * dy, f * dz, true
+	return k.eps24 * (2*s6*s6 - s6) / r2
 }
 
 // sendPositions ships ghost positions and departing particles for the
-// current iteration to every neighbor. The ghost export includes the
-// outbox (see computeStep's pair coverage invariant): a departing particle
-// remains visible to every neighbor via its origin for one iteration.
+// current iteration to every neighbor slot. The ghost export includes the
+// movers (see computeStep's pair coverage invariant): a departing
+// particle remains visible to every neighbor via its origin for one
+// iteration.
 func (c *mdChare) sendPositions(ctx *charm.Ctx) {
-	export := append([]Particle(nil), c.own...)
-	for _, out := range c.outbox {
-		export = append(export, out...)
+	out := &c.outbox[c.iter&1]
+	export := append(out.export[:0], c.own...)
+	for _, mv := range out.movers {
+		export = append(export, mv...)
 	}
-	slices.SortFunc(export, func(a, b Particle) int { return a.ID - b.ID })
-	for _, ni := range c.neighbors() {
-		movers := c.outbox[ni]
-		delete(c.outbox, ni)
-		bytes := 24*len(export) + 48*len(movers) + 32
-		ctx.Send(charm.ChareID{Array: c.app.cfg.Array, Index: ni},
-			posMsg{Iter: c.iter, From: c.index, Ghost: export, Movers: movers}, bytes)
+	slices.SortFunc(export, byID)
+	out.export = export
+	for s, ni := range c.nbrs {
+		m := &out.msgs[s]
+		*m = posMsg{Iter: c.iter, From: c.index, Ghost: export, Movers: out.movers[s]}
+		bytes := 24*len(export) + 48*len(m.Movers) + 32
+		ctx.Send(charm.ChareID{Array: c.app.cfg.Array, Index: ni}, m, bytes)
 	}
-	if len(c.outbox) != 0 {
-		panic(fmt.Sprintf("apps: cell %d has stranded movers", c.index))
-	}
+	c.sent = c.iter
 }

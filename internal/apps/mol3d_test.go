@@ -1,7 +1,9 @@
 package apps
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -288,5 +290,83 @@ func TestClampHelpers(t *testing.T) {
 	}
 	if abs(-3) != 3 || abs(3) != 3 {
 		t.Fatal("abs")
+	}
+}
+
+// A position message is accepted only for the receiver's current
+// iteration or the next one; anything else, and a duplicate, means the
+// exchange protocol broke and must fail loudly, naming the cell and the
+// iterations.
+func TestMDInboxWindow(t *testing.T) {
+	_, rts := testRTS(t, 1, 2)
+	app := NewMol3DApp(rts, Mol3DConfig{
+		CellsX: 3, CellsY: 1, CellsZ: 1,
+		CellSize: 1.0, Particles: 12, Seed: 1, Iters: 10,
+	})
+	c := app.chares[1]
+	deliver := func(iter int) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		// With the current iteration's messages still missing, Recv
+		// returns before touching the (nil) context.
+		c.Recv(nil, &posMsg{Iter: iter, From: 0})
+		return ""
+	}
+	if msg := deliver(1); msg != "" {
+		t.Fatalf("posMsg one iteration ahead rejected: %s", msg)
+	}
+	msg := deliver(1)
+	for _, want := range []string{"duplicate posMsg", "iter=1", "cell 1"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("duplicate posMsg: panic %q does not mention %q", msg, want)
+		}
+	}
+	for _, iter := range []int{2, -1} {
+		msg := deliver(iter)
+		for _, want := range []string{"cell 1", "iteration 0", fmt.Sprintf("iteration %d", iter)} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("posMsg for iteration %d: panic %q does not mention %q", iter, msg, want)
+			}
+		}
+	}
+}
+
+// TestMol3DSteadyStateAllocFree is the allocation gate for the MD
+// iteration: once the exchange buffers have grown, one iteration over
+// every cell (mover adoption, force loops, integration, departures,
+// ghost export and message dispatch) must not allocate.
+func TestMol3DSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	eng, rts := testRTS(t, 1, 4)
+	app := NewMol3DApp(rts, Mol3DConfig{
+		CellsX: 4, CellsY: 4, CellsZ: 1,
+		CellSize: 1.0, Particles: 200, ClusterFrac: 0.4,
+		Seed: 1, Dt: 1e-3, Iters: 1 << 30,
+		CostPerPair: 1e-8,
+	})
+	rts.Start()
+	iter := 0
+	step := func() {
+		iter++
+		for i := 0; i < app.NumCells(); i++ {
+			for app.Iterations(i) < iter {
+				if !eng.Step() {
+					t.Fatal("md world ran out of events")
+				}
+			}
+		}
+	}
+	// Warm up until every mover slot, the ghost exports and the force
+	// scratch have grown to the populations the run reaches.
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(50, step); avg != 0 {
+		t.Errorf("steady-state MD iteration: %.2f allocs, want 0", avg)
 	}
 }

@@ -86,6 +86,28 @@ func traceHash(rec *trace.Recorder) uint64 {
 	return h.Sum64()
 }
 
+// sameRun reports every way a run diverged from the one-shard baseline.
+func sameRun(t *testing.T, name string, base Result, baseVals map[string]float64, baseHash uint64,
+	res Result, vals map[string]float64, hash uint64) {
+	t.Helper()
+	if res != base {
+		t.Errorf("%s: Result diverged:\n got %+v\nwant %+v", name, res, base)
+	}
+	if hash != baseHash {
+		t.Errorf("%s: trace hash %x, want %x", name, hash, baseHash)
+	}
+	for k, want := range baseVals {
+		if got, ok := vals[k]; !ok || got != want {
+			t.Errorf("%s: metric %s = %v, want %v", name, k, vals[k], want)
+		}
+	}
+	for k := range vals {
+		if _, ok := baseVals[k]; !ok {
+			t.Errorf("%s: unexpected extra metric %s", name, k)
+		}
+	}
+}
+
 // TestShardedDeterminism asserts that every shard count, at every
 // parallelism level, reproduces the one-shard run bit for bit:
 // identical Result, identical comparable metrics, identical trace.
@@ -95,23 +117,7 @@ func TestShardedDeterminism(t *testing.T) {
 		prev := runtime.GOMAXPROCS(gmp)
 		for _, n := range []int{2, 4, 8} {
 			res, vals, hash := detRun(t, n)
-			name := fmt.Sprintf("shards=%d/GOMAXPROCS=%d", n, gmp)
-			if res != base {
-				t.Errorf("%s: Result diverged:\n got %+v\nwant %+v", name, res, base)
-			}
-			if hash != baseHash {
-				t.Errorf("%s: trace hash %x, want %x", name, hash, baseHash)
-			}
-			for k, want := range baseVals {
-				if got, ok := vals[k]; !ok || got != want {
-					t.Errorf("%s: metric %s = %v, want %v", name, k, vals[k], want)
-				}
-			}
-			for k := range vals {
-				if _, ok := baseVals[k]; !ok {
-					t.Errorf("%s: unexpected extra metric %s", name, k)
-				}
-			}
+			sameRun(t, fmt.Sprintf("shards=%d/GOMAXPROCS=%d", n, gmp), base, baseVals, baseHash, res, vals, hash)
 		}
 		runtime.GOMAXPROCS(prev)
 	}
@@ -144,23 +150,34 @@ func TestShardedDeterminismLossyNet(t *testing.T) {
 	}
 	for _, n := range []int{2, 4, 8} {
 		res, vals, hash := lossy(n)
-		name := fmt.Sprintf("shards=%d", n)
-		if res != base {
-			t.Errorf("%s: Result diverged:\n got %+v\nwant %+v", name, res, base)
-		}
-		if hash != baseHash {
-			t.Errorf("%s: trace hash %x, want %x", name, hash, baseHash)
-		}
-		for k, want := range baseVals {
-			if got, ok := vals[k]; !ok || got != want {
-				t.Errorf("%s: metric %s = %v, want %v", name, k, vals[k], want)
-			}
-		}
-		for k := range vals {
-			if _, ok := baseVals[k]; !ok {
-				t.Errorf("%s: unexpected extra metric %s", name, k)
-			}
-		}
+		sameRun(t, fmt.Sprintf("shards=%d", n), base, baseVals, baseHash, res, vals, hash)
+	}
+}
+
+// TestMol3DShardedDeterminism extends the contract to Mol3D, whose cells
+// send pointers into their reused ghost-export and mover buffers: a
+// neighbor on another shard reads them while the sender runs on, so the
+// two-deep buffer lifetime (DESIGN.md §17) is what keeps this race-free
+// and bit-identical. Load balancing migrates cells, and the 4x-weighted
+// background job is the Mol3D case of the paper.
+func TestMol3DShardedDeterminism(t *testing.T) {
+	run := func(shards int) (Result, map[string]float64, uint64) {
+		rec := trace.NewRecorder()
+		reg := metrics.NewRegistry()
+		res := Run(Scenario{
+			App: Mol3D, Cores: 16, Strategy: Refine, BG: BGWave2D, BGWeight: 4,
+			Seed: 7, Scale: 0.1, Shards: shards,
+			Trace: rec, Metrics: reg,
+		})
+		return res, metricValues(reg), traceHash(rec)
+	}
+	base, baseVals, baseHash := run(1)
+	if base.Migrations == 0 {
+		t.Fatal("Mol3D reference run migrated nothing; the matrix would prove less")
+	}
+	for _, n := range []int{2, 8} {
+		res, vals, hash := run(n)
+		sameRun(t, fmt.Sprintf("shards=%d", n), base, baseVals, baseHash, res, vals, hash)
 	}
 }
 

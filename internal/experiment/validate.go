@@ -122,7 +122,7 @@ func (sp Spec) Validate() error {
 		}
 	}
 	for i, d := range sp.DropPcts {
-		if d < 0 || d >= 100 {
+		if !(d >= 0) || !(d < 100) {
 			add(fmt.Sprintf("drop_pcts[%d]", i), "must be in [0,100), got %v", d)
 		}
 	}
@@ -183,7 +183,7 @@ func validateNet(cfg xnet.Config) []FieldError {
 	if !(cfg.StragglerFactor >= 0) || math.IsInf(cfg.StragglerFactor, 0) {
 		add("straggler_factor", "must be finite and >= 0 (0 = default 1), got %v", cfg.StragglerFactor)
 	}
-	if cfg.DropPct < 0 || cfg.DropPct >= 100 {
+	if !(cfg.DropPct >= 0) || !(cfg.DropPct < 100) {
 		add("drop_pct", "must be in [0,100), got %v", cfg.DropPct)
 	}
 	if cfg.RetransmitTimeout < 0 {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -91,5 +92,48 @@ func TestValidateEmptyCores(t *testing.T) {
 	fields := fieldsOf(t, Spec{App: Wave2D}.Validate())
 	if _, ok := fields["cores"]; !ok {
 		t.Fatalf("empty cores must flag cores, got %v", fields)
+	}
+}
+
+// dropPctCases are the drop percentages every drop validator must
+// classify alike: NaN and the infinities compare false against any
+// bound, so a validator written as `d < 0 || d >= 100` lets them through.
+var dropPctCases = []struct {
+	pct float64
+	ok  bool
+}{
+	{math.NaN(), false},
+	{math.Inf(1), false},
+	{math.Inf(-1), false},
+	{math.Copysign(0, -1), true},
+	{0, true},
+	{99.9, true},
+	{100, false},
+}
+
+func TestValidateDropPctNonFinite(t *testing.T) {
+	for _, c := range dropPctCases {
+		for _, tc := range []struct {
+			field string
+			spec  Spec
+		}{
+			{"drop_pcts[0]", Spec{App: Wave2D, Cores: []int{8}, DropPcts: []float64{c.pct}}},
+			{"net.drop_pct", Spec{App: Wave2D, Cores: []int{8}, Net: xnet.Config{DropPct: c.pct}}},
+		} {
+			err := tc.spec.Validate()
+			if c.ok {
+				if err != nil {
+					t.Errorf("%s = %v: unexpected error %v", tc.field, c.pct, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Errorf("%s = %v: accepted", tc.field, c.pct)
+				continue
+			}
+			if _, ok := fieldsOf(t, err)[tc.field]; !ok {
+				t.Errorf("%s = %v: error does not name the field: %v", tc.field, c.pct, err)
+			}
+		}
 	}
 }

@@ -241,7 +241,7 @@ func (c Config) validate(nodes int) {
 	if c.IntraNodeLatency < 0 || c.InterNodeLatency < 0 {
 		panic("xnet: latencies must be nonnegative")
 	}
-	if c.DropPct < 0 || c.DropPct >= 100 {
+	if !(c.DropPct >= 0) || !(c.DropPct < 100) {
 		panic(fmt.Sprintf("xnet: DropPct %v outside [0,100)", c.DropPct))
 	}
 	if c.DropPct > 0 {

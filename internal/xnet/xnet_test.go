@@ -407,6 +407,35 @@ func TestLossyConfigValidation(t *testing.T) {
 	}
 }
 
+// TestDropPctNonFinite pins the DropPct range check against the values
+// that compare false against any bound: NaN and ±Inf must panic at
+// construction, not silently disable (or saturate) the drop lottery.
+func TestDropPctNonFinite(t *testing.T) {
+	m := machine.New(sim.NewShards(1, 0), machine.Config{Nodes: 2, CoresPerNode: 1, CoreSpeed: 1})
+	for _, c := range []struct {
+		pct float64
+		ok  bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{math.Copysign(0, -1), true},
+		{0, true},
+		{99.9, true},
+		{100, false},
+	} {
+		cfg := Config{DropPct: c.pct}.Resolved()
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != c.ok {
+					t.Errorf("DropPct %v: panic %v, want accepted=%v", c.pct, r, c.ok)
+				}
+			}()
+			New(m, cfg)
+		}()
+	}
+}
+
 // TestLookaheadValidation pins the desync guard: building a Network whose
 // minimum effective inter-node latency is below the sharded scheduler's
 // lookahead must panic at construction, not corrupt windows at runtime.
